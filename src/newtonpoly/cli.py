@@ -87,10 +87,6 @@ def _load_polynomial(args) -> Tuple[sp.Slp, int, Optional[sp.SparsePolynomial]]:
     raise InputError("one of --sparse or --slp is required")
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _match_arity(program: sp.Slp, width: int, source: str) -> sp.Slp:
     """Widen a program's ambient arity to the query dimension.
 
@@ -133,6 +129,8 @@ def cmd_support(args) -> int:
         directions.extend(_read_direction_file(args.directions))
     if not directions:
         raise InputError("supply at least one direction via --w or --directions")
+    if not all(any(w) for w in directions):
+        raise InputError("a direction must be nonzero")
     rng = random.Random(args.seed)
     records = []
     lines = []
@@ -148,8 +146,8 @@ def cmd_support(args) -> int:
             raise IndeterminateExit(str(exc)) from exc
         records.append(
             {
-                "w": [_fraction_str(x) for x in w],
-                "h": _fraction_str(est.h_value),
+                "w": [str(x) for x in w],
+                "h": str(est.h_value),
                 "vertex": None,
                 "t_used": math.exp(est.samples[-1][0]),
                 "estimates": [[tau, value] for tau, value in est.samples],
@@ -164,26 +162,42 @@ def cmd_support(args) -> int:
 # ---------------------------------------------------------------------------
 # vertex
 
+def _load_bounds(args) -> ev.EvalBounds:
+    """Coefficient caps from --delta/--lambda and the --superset candidates."""
+    if args.superset is None:
+        raise InputError("eval backend needs --superset PATH or --adaptive")
+    superset = [tuple(int(x) for x in v) for v in _read_direction_file(args.superset)]
+    try:
+        return ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _load_witness_setup(args, seed: int):
     try:
         config = json.loads(_read_text(args.witness_config))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.witness_config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError(f"{args.witness_config}: a witness config must be a JSON object")
     base = os.path.dirname(os.path.abspath(args.witness_config))
     backend_info = config.get("backend") or {}
-    path = backend_info.get("path")
+    path = backend_info.get("path") if isinstance(backend_info, dict) else None
     if path is None:
         raise InputError("witness config is missing backend.path")
     full = path if os.path.isabs(path) else os.path.join(base, path)
     kind = backend_info.get("type", "sparse")
     poly = None
-    if kind == "sparse":
-        poly = sp.parse_sparse(_read_text(full))
-        backend = wo.SparseLineBackend(poly)
-    elif kind == "slp":
-        backend = wo.SlpLineBackend(sp.parse_slp(_read_text(full)))
-    else:
-        raise InputError(f"unknown witness backend type {kind!r}")
+    try:
+        if kind == "sparse":
+            poly = sp.parse_sparse(_read_text(full))
+            backend = wo.SparseLineBackend(poly)
+        elif kind == "slp":
+            backend = wo.SlpLineBackend(sp.parse_slp(_read_text(full)))
+        else:
+            raise InputError(f"unknown witness backend type {kind!r}")
+    except (sp.SparseParseError, sp.SlpParseError) as exc:
+        raise InputError(f"{full}: {exc}") from exc
     rng = random.Random(config.get("seed", seed))
     line_info = config.get("line")
     a = b = None
@@ -223,6 +237,8 @@ def cmd_vertex(args) -> int:
         elif len(w) != n:
             raise InputError(f"direction has {len(w)} entries, expected {n}")
         if args.adaptive:
+            if not any(w):
+                raise InputError("a direction must be nonzero")
             oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
             beta = None
             last: Optional[Exception] = None
@@ -242,21 +258,15 @@ def cmd_vertex(args) -> int:
             if beta is None:
                 raise IndeterminateExit(str(last)) from last
             record = {
-                "w": [_fraction_str(x) for x in w],
-                "h": _fraction_str(h),
+                "w": [str(x) for x in w],
+                "h": str(h),
                 "vertex": list(beta),
                 "t_used": None,
                 "estimates": [],
             }
             lines = [f"vertex = {beta}  (support value {h})"]
         else:
-            if args.superset is None:
-                raise InputError("eval backend needs --superset PATH or --adaptive")
-            superset = [tuple(int(x) for x in v) for v in _read_direction_file(args.superset)]
-            try:
-                bounds = ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
+            bounds = _load_bounds(args)
             try:
                 answer = ev.vertex_query(program, bounds, w, t=args.t, rng=rng)
             except ev.NotGenericError as exc:
@@ -265,8 +275,8 @@ def cmd_vertex(args) -> int:
                 raise IndeterminateExit(str(exc)) from exc
             h = sum(wi * bi for wi, bi in zip(w, answer.beta))
             record = {
-                "w": [_fraction_str(x) for x in w],
-                "h": _fraction_str(Fraction(h)),
+                "w": [str(x) for x in w],
+                "h": str(Fraction(h)),
                 "vertex": list(answer.beta),
                 "t_used": answer.t,
                 "estimates": [],
@@ -292,8 +302,8 @@ def cmd_vertex(args) -> int:
     except (wo.IndeterminateError, wo.RateViolationError, wo.PathCrossingError) as exc:
         raise IndeterminateExit(str(exc)) from exc
     record = {
-        "w": [_fraction_str(x) for x in w],
-        "h": _fraction_str(sum(wi * bi for wi, bi in zip(w, cert.beta))),
+        "w": [str(x) for x in w],
+        "h": str(sum(wi * bi for wi, bi in zip(w, cert.beta))),
         "vertex": list(cert.beta),
         "t_used": wcfg.t_max,
         "t_entry": cert.t_entry,
@@ -305,9 +315,8 @@ def cmd_vertex(args) -> int:
     ]
     rows = None
     if args.format == "csv":  # path traces
-        paths = wo.track_paths(backend, line, [float(x) for x in w], wcfg.t_max)
         rows = [("path_id", "t", "re_s", "im_s", "residual")]
-        for idx, path in enumerate(paths):
+        for idx, path in enumerate(cert.paths):
             for t, s, res in path.samples:
                 rows.append((idx, f"{t!r}", f"{s.real!r}", f"{s.imag!r}", f"{res:.3e}"))
     _emit(args, record, text_lines=lines, csv_rows=rows)
@@ -324,11 +333,7 @@ def cmd_reconstruct(args) -> int:
         if args.adaptive:
             oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
         else:
-            if args.superset is None:
-                raise InputError("eval backend needs --superset PATH or --adaptive")
-            superset = [tuple(int(x) for x in v) for v in _read_direction_file(args.superset)]
-            bounds = ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
-            oracle = rc.EvalVertexOracle.from_bounds(program, bounds, rng=rng)
+            oracle = rc.EvalVertexOracle.from_bounds(program, _load_bounds(args), rng=rng)
     else:
         if not args.witness_config:
             raise InputError("witness backend needs --witness-config PATH")
@@ -422,8 +427,8 @@ def cmd_isom(args) -> int:
     payload = {"isomorphic": ok, "transform": None}
     if ok:
         payload["transform"] = {
-            "matrix": [[_fraction_str(x) for x in row] for row in witness.matrix],
-            "translation": [_fraction_str(x) for x in witness.translation],
+            "matrix": [[str(x) for x in row] for row in witness.matrix],
+            "translation": [str(x) for x in witness.translation],
         }
     lines = [f"isomorphic: {ok}"]
     _emit(args, payload, text_lines=lines)
@@ -445,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sparse", help="sparse polynomial file (COEFF : e1 .. en)")
             p.add_argument("--slp", help="straight-line program file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
@@ -477,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--adaptive", action="store_true")
     p_rec.add_argument("--witness-config", dest="witness_config")
     p_rec.add_argument("--t-max", dest="t_max", type=float)
+    p_rec.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_hull = sub.add_parser("hull", help="exact convex hull of integer points")

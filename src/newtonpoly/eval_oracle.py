@@ -13,7 +13,6 @@ Two query styles:
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import linprog
 
-from .polytope import LatticePolytope, convex_hull
+from .polytope import LatticePolytope, box_points, convex_hull
 from .slp import Exponent, Slp, evaluate, scaled_point
 
 E_INV = math.exp(-1.0)
@@ -276,15 +275,7 @@ def adaptive_superset(
         est = support_estimate(f, d, rng=rng)
         cuts.append((d, est.h_value))
     his = _box_bounds([c[0] for c in cuts], [c[1] for c in cuts], n)
-    points: List[Exponent] = []
-    for candidate in itertools.product(*(range(h + 1) for h in his)):
-        ok = True
-        for d, h in cuts:
-            if sum(di * ci for di, ci in zip(d, candidate)) > h:
-                ok = False
-                break
-        if ok:
-            points.append(candidate)
+    points: List[Exponent] = box_points([0] * n, his, [(d, h, False) for d, h in cuts])
     if not points:
         raise UnboundedError("no lattice points satisfy the estimated cuts")
     return points, cuts

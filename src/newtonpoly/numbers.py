@@ -16,7 +16,6 @@ Two number types live here:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,30 +206,11 @@ class ScaledComplex:
             self.absorbed or other.absorbed,
         )
 
-    def __pow__(self, k: int) -> "ScaledComplex":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        result = ScaledComplex(1 + 0j, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def abs2_mantissa(self) -> float:
-        m = self.mantissa
-        return m.real * m.real + m.imag * m.imag
-
     def log_abs(self) -> float:
         """Natural log of |value|; -inf for zero."""
         if self.mantissa == 0:
             return float("-inf")
         return math.log(abs(self.mantissa)) + self.exponent * LN2
-
-    def arg(self) -> float:
-        return cmath.phase(self.mantissa)
 
     def to_complex(self) -> complex:
         """Collapse to an ordinary complex.
@@ -255,4 +235,3 @@ class ScaledComplex:
 
 
 SCALED_ZERO = ScaledComplex(0j, 0)
-SCALED_ONE = ScaledComplex(1 + 0j, 0)

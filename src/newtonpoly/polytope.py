@@ -479,46 +479,65 @@ def support_function(P: LatticePolytope, w: Sequence) -> SupportSample:
     return SupportSample(w_vec, best, exposed_dim)
 
 
+def _integer_cut(w: Sequence, h) -> Tuple[List[int], int]:
+    """The rational cut w . x <= h (or = h) scaled to integers by its lcd."""
+    lcd = math.lcm(*(x.denominator for x in (*w, h)))
+    return [x.numerator * (lcd // x.denominator) for x in w], h.numerator * (lcd // h.denominator)
+
+
+class CutFilter:
+    """A fixed set of integer points, tested against exact rational cuts.
+
+    ``axes[j]`` holds coordinate j of the points, and the axes broadcast
+    against each other: the ``np.ix_`` ranges of a box describe the box
+    without building it, and the columns of a point matrix describe those
+    points.  Dot products run in int64 when a magnitude bound built from each
+    axis' largest absolute entry stays below 2^62, and in Python integers
+    otherwise.
+    """
+
+    def __init__(self, axes: Sequence):
+        axes = [np.asarray(a) for a in axes]
+        self._mags = [max(abs(int(a.min())), abs(int(a.max()))) if a.size else 0 for a in axes]
+        small = max(self._mags, default=0) < 2**62
+        # contiguous axes keep the per-axis products at memory speed
+        self.axes = [np.ascontiguousarray(a, dtype=np.int64 if small else object) for a in axes]
+        self.shape = np.broadcast(*self.axes).shape
+
+    def keep(self, cuts: Iterable[Tuple[Sequence, object, bool]]) -> np.ndarray:
+        """Boolean mask (of the broadcast shape) of the points satisfying
+        every cut ``(w, h, equal)``: ``w . x <= h``, or ``w . x == h`` when
+        ``equal`` is set.  Entries of w and h are ints or Fractions."""
+        scaled = [(*_integer_cut(w, h), equal) for w, h, equal in cuts]
+        fits = all(
+            abs(target) < 2**62 and sum(abs(s) * max(1, m) for s, m in zip(ws, self._mags)) < 2**62
+            for ws, target, _ in scaled
+        )
+        axes = self.axes if fits else [a.astype(object) for a in self.axes]
+        mask = np.ones(self.shape, dtype=bool)
+        for ws, target, equal in scaled:
+            dots = sum((s * a for s, a in zip(ws, axes) if s), 0)
+            mask &= (dots == target) if equal else (dots <= target)
+        return mask
+
+
+def box_points(lo: Sequence[int], hi: Sequence[int], cuts) -> List[Point]:
+    """The integer points of the box lo <= x <= hi that satisfy every cut
+    (as in ``CutFilter.keep``), in lexicographic order."""
+    box = CutFilter(np.ix_(*(np.asarray(range(a, b + 1)) for a, b in zip(lo, hi))))
+    keep = box.keep(cuts)
+    return list(zip(*(np.broadcast_to(a, box.shape)[keep].tolist() for a in box.axes)))
+
+
 def lattice_points(P: LatticePolytope) -> List[Point]:
-    """All integer points of P via a bounding-box scan filtered by the facets."""
+    """All integer points of P, in lexicographic order, via a bounding-box scan."""
     if not P.vertices:
         raise PolytopeInputError("empty polytope")
     lo = [min(v[i] for v in P.vertices) for i in range(P.n)]
     hi = [max(v[i] for v in P.vertices) for i in range(P.n)]
-    box = 1
-    for a, b in zip(lo, hi):
-        box *= b - a + 1
-    rows = [(f.normal, f.offset, False) for f in P.facets]
-    rows += [(normal, offset, True) for normal, offset in P.equalities]
-    if box > 4096 and _fits_int64(rows, lo, hi):
-        grid = np.stack(
-            np.meshgrid(*(np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, P.n)
-        keep = np.ones(len(grid), dtype=bool)
-        for normal, offset, is_eq in rows:
-            vals = grid @ np.asarray(normal, dtype=np.int64)
-            keep &= (vals == offset) if is_eq else (vals <= offset)
-        return sorted(tuple(int(x) for x in row) for row in grid[keep])
-    result = []
-    for candidate in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        ok = True
-        for normal, offset, is_eq in rows:
-            val = _dot(normal, candidate)
-            if (is_eq and val != offset) or (not is_eq and val > offset):
-                ok = False
-                break
-        if ok:
-            result.append(candidate)
-    return sorted(result)
-
-
-def _fits_int64(rows, lo, hi) -> bool:
-    for normal, offset, _ in rows:
-        bound = sum(abs(a) * max(abs(l), abs(h)) for a, l, h in zip(normal, lo, hi))
-        if bound >= 2**62 or abs(offset) >= 2**62:
-            return False
-    return True
+    cuts = [(f.normal, f.offset, False) for f in P.facets]
+    cuts += [(normal, offset, True) for normal, offset in P.equalities]
+    return box_points(lo, hi, cuts)
 
 
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
@@ -660,14 +679,6 @@ def _ambient_witness(n_p, n_q, p_origin, p_basis, q_origin, q_basis, m_int, y0, 
     return AffineIso(
         tuple(tuple(row) for row in linear),
         tuple(translation),
-    )
-
-
-def halfspace_representation(P: LatticePolytope):
-    """Irredundant facet inequalities plus affine-hull equalities."""
-    return (
-        [(f.normal, f.offset) for f in P.facets],
-        [(normal, offset) for normal, offset in P.equalities],
     )
 
 

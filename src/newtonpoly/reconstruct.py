@@ -11,7 +11,6 @@ for lower-dimensional polytopes, every affine-hull equality) is confirmed.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import eval_oracle as ev
 from . import witness_oracle as wo
-from .polytope import LatticePolytope, Point, convex_hull, support_function
+from .polytope import CutFilter, LatticePolytope, Point, convex_hull, support_function
 from .slp import Exponent, Slp
 
 
@@ -60,7 +59,7 @@ class EvalVertexOracle:
         self.bounds = bounds
         self.rng = rng or random.Random(0)
         self.coord_bound = max(1, max((max(p) for p in self.superset), default=1))
-        self._matrix = np.asarray(self.superset, dtype=np.int64)
+        self._candidates = CutFilter(np.asarray(self.superset).T)
         # candidates still compatible with every support cut seen so far;
         # the true support always survives, imposters get peeled away
         self._live = np.ones(len(self.superset), dtype=bool)
@@ -106,31 +105,12 @@ class EvalVertexOracle:
 
     def _query_adaptive(self, w) -> Point:
         h = self.support(w)
-        scaled, target = self._scaled_cut(w, h)
-        dots = self._dots(scaled)
-        hits = np.nonzero(self._live & (dots == target))[0]
+        hits = np.nonzero(self._live & self._candidates.keep([(w, h, True)]))[0]
         if len(hits) != 1:
             raise OracleIndeterminate(
                 f"{len(hits)} candidate exponents attain the support value"
             )
-        return tuple(int(x) for x in self._matrix[hits[0]])
-
-    @staticmethod
-    def _scaled_cut(w, h: Fraction):
-        lcd = 1
-        for x in w:
-            lcd = lcd * x.denominator // math.gcd(lcd, x.denominator)
-        lcd = lcd * h.denominator // math.gcd(lcd, h.denominator)
-        return [int(x * lcd) for x in w], int(h * lcd)
-
-    def _dots(self, scaled: Sequence[int]) -> np.ndarray:
-        bound = sum(abs(s) * self.coord_bound for s in scaled)
-        if bound >= 2**62:
-            return np.asarray(
-                [sum(s * int(c) for s, c in zip(scaled, row)) for row in self.superset],
-                dtype=object,
-            )
-        return self._matrix @ np.asarray(scaled, dtype=np.int64)
+        return tuple(int(a[hits[0]]) for a in self._candidates.axes)
 
     def support(self, w: Sequence) -> Fraction:
         key = tuple(Fraction(x) for x in w)
@@ -140,10 +120,9 @@ class EvalVertexOracle:
             est = ev.support_estimate(self.slp, key, rng=self.rng)
         except ev.NoConvergenceError as exc:
             raise OracleIndeterminate(str(exc)) from exc
-        scaled, target = self._scaled_cut(key, est.h_value)
         with self._lock:
             self._support_cache[key] = est.h_value
-            self._live &= self._dots(scaled) <= target
+            self._live &= self._candidates.keep([(key, est.h_value, False)])
         return est.h_value
 
 

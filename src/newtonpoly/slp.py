@@ -84,11 +84,6 @@ class SparsePolynomial:
     def total_degree(self) -> int:
         return max((sum(a) for _, a in self.terms), default=0)
 
-    def degree_per_variable(self) -> Tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.n
-        return tuple(max(a[i] for _, a in self.terms) for i in range(self.n))
-
     def eval_complex(self, xs: Sequence[complex]) -> complex:
         """Direct term-by-term evaluation in plain complex arithmetic."""
         if len(xs) != self.n:

@@ -534,6 +534,7 @@ class VertexCertificate:
     assignments: Tuple[Tuple[str, Optional[int]], ...]
     rate_checks: Optional[Tuple[bool, ...]] = None
     slopes_ok: Optional[bool] = None
+    paths: Tuple[TrackedPath, ...] = ()  # the tracked paths the certificate was verified on
 
 
 def classify_paths(
@@ -773,12 +774,6 @@ def divergence_bound(consts: LineConstants, rates: RateParams, degree: int, t: f
     return t**rates.gap_div / (rates.C * rates.n_terms) * base**degree
 
 
-def divergence_bound_statement(consts: LineConstants, rates: RateParams, degree: int, t: float) -> float:
-    """Alternative constant with a_min in place of b_max; kept for reference."""
-    base = consts.a_min / (2.0 * (consts.a_max + consts.a_min))
-    return t**rates.gap_div / (rates.C * rates.n_terms) * base**degree
-
-
 def verify_rates(
     paths: Sequence[TrackedPath],
     cert: VertexCertificate,
@@ -839,7 +834,13 @@ def verify_rates(
                 slopes_ok = False
     if not slopes_ok:
         raise RateViolationError("observed slopes disagree with the expected rates")
-    return replace(cert, w=tuple(float(x) for x in w), rate_checks=tuple(checks), slopes_ok=slopes_ok)
+    return replace(
+        cert,
+        w=tuple(float(x) for x in w),
+        rate_checks=tuple(checks),
+        slopes_ok=slopes_ok,
+        paths=tuple(paths),
+    )
 
 
 # ---------------------------------------------------------------------------

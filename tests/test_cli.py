@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from newtonpoly import witness_oracle as wo
 from newtonpoly.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
@@ -154,6 +155,83 @@ class TestVertex:
         lines = out.strip().splitlines()
         assert lines[0] == "path_id,t,re_s,im_s,residual"
         assert len(lines) > 10
+
+    def test_witness_trace_csv_is_the_certified_paths(self, capsys, monkeypatch):
+        # the first classification fails, so the certificate comes from a perturbed w
+        certificates = []
+        query, classify = wo.witness_vertex_query, wo.classify_paths
+        forced = [wo.IndeterminateError("forced retry")]
+
+        def capture(*args, **kwargs):
+            certificates.append(query(*args, **kwargs))
+            return certificates[-1]
+
+        def fail_once(*args, **kwargs):
+            if forced:
+                raise forced.pop()
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(wo, "witness_vertex_query", capture)
+        monkeypatch.setattr(wo, "classify_paths", fail_once)
+        config = str(FIXTURES / "quad_witness.json")
+        code, out, _ = run_cli(
+            ["vertex", "--backend", "witness", "--witness-config", config, "--w", "1,1", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        (cert,) = certificates
+        assert cert.w != (1.0, 1.0) and cert.paths
+        rows = [
+            f"{idx},{t!r},{s.real!r},{s.imag!r},{res:.3e}"
+            for idx, path in enumerate(cert.paths)
+            for t, s, res in path.samples
+        ]
+        assert out.strip().splitlines()[1:] == rows
+
+
+BAD_INPUTS = {
+    "reconstruct-delta-below-1": (
+        {},
+        [
+            "reconstruct", "--sparse", str(FIXTURES / "disc.poly"),
+            "--superset", str(FIXTURES / "disc_superset.pts"), "--delta", "0.5",
+        ],
+    ),
+    "reconstruct-duplicate-superset": (
+        {"s.pts": "1 0 1\n0 2 0\n1 0 1\n"},
+        ["reconstruct", "--sparse", str(FIXTURES / "disc.poly"), "--superset", "s.pts"],
+    ),
+    "witness-config-not-an-object": (
+        {"w.json": "[1, 2]"},
+        ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
+    ),
+    "witness-sparse-backend-does-not-parse": (
+        {"w.json": json.dumps({"backend": {"type": "sparse", "path": "bad.poly"}}), "bad.poly": "nonsense\n"},
+        ["reconstruct", "--backend", "witness", "--witness-config", "w.json"],
+    ),
+    "witness-slp-backend-does-not-parse": (
+        {"w.json": json.dumps({"backend": {"type": "slp", "path": "bad.slp"}}), "bad.slp": "frobnicate r1\n"},
+        ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
+    ),
+    "support-zero-direction": (
+        {},
+        ["support", "--sparse", str(FIXTURES / "f1.poly"), "--w", "0,0,0,0,0,0"],
+    ),
+    "adaptive-vertex-zero-direction": (
+        {},
+        ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "f1.poly"), "--w", "0,0,0,0,0,0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
+    files, args = BAD_INPUTS[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and err.startswith("error:")
 
 
 class TestReconstruct:

@@ -119,9 +119,3 @@ class TestScaledComplex:
         with pytest.raises(OverflowError):
             ScaledComplex(1.3, 4148).to_complex()
 
-    def test_integer_powers(self):
-        v = ScaledComplex(1.0, 1000)
-        p = v**10
-        assert p.exponent == 10000 and p.mantissa == 1.0
-        z = ScaledComplex.from_complex(0.3 + 0.4j)
-        assert cmath.isclose((z**5).to_complex(), (0.3 + 0.4j) ** 5, rel_tol=1e-13)

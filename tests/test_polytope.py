@@ -12,7 +12,6 @@ from newtonpoly.polytope import (
     convex_hull,
     dilate,
     from_json,
-    halfspace_representation,
     lattice_points,
     support_function,
     to_json,
@@ -284,16 +283,15 @@ class TestAffinelyIsomorphic:
 class TestHalfspaceRepresentation:
     def test_segment(self):
         P = convex_hull([(0, 2, 0), (1, 0, 1)])
-        facets, equalities = halfspace_representation(P)
-        assert len(facets) == 2 and len(equalities) == 2
+        assert len(P.facets) == 2 and len(P.equalities) == 2
 
     def test_bipyramid(self):
-        facets, equalities = halfspace_representation(convex_hull(BIPYRAMID_POINTS))
-        assert len(facets) == 6 and not equalities
+        P = convex_hull(BIPYRAMID_POINTS)
+        assert len(P.facets) == 6 and not P.equalities
 
     def test_point(self):
-        facets, equalities = halfspace_representation(convex_hull([(2, 3, 4)]))
-        assert not facets and len(equalities) == 3
+        P = convex_hull([(2, 3, 4)])
+        assert not P.facets and len(P.equalities) == 3
 
 
 class TestJson:

@@ -23,7 +23,6 @@ from newtonpoly.witness_oracle import (
     classify_paths,
     convergence_bound,
     divergence_bound,
-    divergence_bound_statement,
     fitted_rate_params,
     initial_roots,
     line_constants,
@@ -257,8 +256,6 @@ class TestVerifyRates:
         assert rates.gap_div == 2.0
         for t in DECADES:
             assert divergence_bound(consts, rates, 2, t) == pytest.approx(t * t / 4160.0, rel=1e-9)
-        # the alternative constant variant is also available for reference
-        assert divergence_bound_statement(consts, rates, 2, 1e2) > 0
 
     def test_certificates_hold_on_both_directions(self, quad_setup):
         quad, backend, line, consts = quad_setup
