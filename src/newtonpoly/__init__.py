@@ -1,12 +1,11 @@
 """Newton polytopes of hypersurfaces from evaluation or witness-set oracles."""
 
-from .numbers import GaussianRational, ScaledComplex
+from .numbers import GaussianRational
 from .polytope import LatticePolytope, convex_hull, dilate, lattice_points, support_function
 from .slp import SparsePolynomial, Slp, parse_slp, parse_sparse, sparse_to_slp
 
 __all__ = [
     "GaussianRational",
-    "ScaledComplex",
     "LatticePolytope",
     "convex_hull",
     "dilate",

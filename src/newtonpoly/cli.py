@@ -166,11 +166,29 @@ def _load_bounds(args) -> ev.EvalBounds:
     """Coefficient caps from --delta/--lambda and the --superset candidates."""
     if args.superset is None:
         raise InputError("eval backend needs --superset PATH or --adaptive")
-    superset = [tuple(int(x) for x in v) for v in _read_direction_file(args.superset)]
+    rows = _read_direction_file(args.superset)
+    for row in rows:
+        if any(x.denominator != 1 for x in row):
+            raise InputError(f"{args.superset}: superset row {' '.join(map(str, row))} is not integral")
+    superset = [tuple(int(x) for x in row) for row in rows]
     try:
         return ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _load_witness_setup(args, seed: int):
@@ -198,17 +216,37 @@ def _load_witness_setup(args, seed: int):
             raise InputError(f"unknown witness backend type {kind!r}")
     except (sp.SparseParseError, sp.SlpParseError) as exc:
         raise InputError(f"{full}: {exc}") from exc
-    rng = random.Random(config.get("seed", seed))
+
+    def check(ok: bool, message: str) -> None:
+        if not ok:
+            raise InputError(f"{args.witness_config}: {message}")
+
+    seed = config.get("seed", seed)
+    check(_is_int(seed), "seed must be an integer")
+    degree = config.get("degree")
+    check(degree is None or (_is_int(degree) and degree >= 1), "degree must be a positive integer")
+    c_value = config.get("C")
+    check(c_value is None or (_is_number(c_value) and c_value > 0), "C must be a positive number")
+    t_max = config.get("t_max", 1e8) if args.t_max is None else args.t_max
+    check(_is_number(t_max) and t_max > 1, "t_max (or --t-max) must be a number above 1")
     line_info = config.get("line")
     a = b = None
-    if line_info:
-        a = [complex(re, im) for re, im in line_info["a"]]
-        b = [complex(re, im) for re, im in line_info["b"]]
+    if line_info is not None:
+        check(isinstance(line_info, dict), "line must be an object with entries a and b")
+        for key in ("a", "b"):
+            pairs = line_info.get(key)
+            check(
+                isinstance(pairs, list)
+                and len(pairs) == backend.n
+                and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in pairs),
+                f"line.{key} must hold {backend.n} [re, im] number pairs",
+            )
+        a, b = ([complex(re, im) for re, im in line_info[key]] for key in ("a", "b"))
+    rng = random.Random(seed)
     try:
-        line = wo.make_line(backend.n, rng, backend, a=a, b=b, degree=config.get("degree"))
+        line = wo.make_line(backend.n, rng, backend, a=a, b=b, degree=degree)
     except (wo.GenericityFailure, wo.DegreeMismatchError, wo.RootCoincidenceError) as exc:
         raise IndeterminateExit(str(exc)) from exc
-    c_value = config.get("C")
     consts = wo.line_constants(line, C=c_value if c_value is not None else 10.0)
     rate_source = None
     if poly is not None:
@@ -216,7 +254,7 @@ def _load_witness_setup(args, seed: int):
             poly, [float(x) for x in w], consts, C=c_value
         )
     wcfg = wo.WitnessConfig(
-        t_max=float(config.get("t_max", 1e8)),
+        t_max=float(t_max),
         rng=rng,
         rate_source=rate_source,
         C=c_value,
@@ -295,8 +333,6 @@ def cmd_vertex(args) -> int:
     backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
     if len(w) != line.n:
         raise InputError(f"direction has {len(w)} entries, expected {line.n}")
-    if args.t_max:
-        wcfg.t_max = args.t_max
     try:
         cert = wo.witness_vertex_query(backend, line, consts, list(w), wcfg)
     except (wo.IndeterminateError, wo.RateViolationError, wo.PathCrossingError) as exc:
@@ -338,8 +374,6 @@ def cmd_reconstruct(args) -> int:
         if not args.witness_config:
             raise InputError("witness backend needs --witness-config PATH")
         backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
-        if args.t_max:
-            wcfg.t_max = args.t_max
         oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
         n = line.n
     config = rc.ReconstructConfig(seed=args.seed, jobs=args.jobs)

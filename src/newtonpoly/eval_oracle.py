@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from scipy.optimize import linprog
 
 from .polytope import LatticePolytope, box_points, convex_hull
-from .slp import Exponent, Slp, evaluate, scaled_point
+from .slp import Exponent, Slp, evaluate, log_abs, scaled_point
 
 E_INV = math.exp(-1.0)
 
@@ -141,11 +141,11 @@ def vertex_query(
     x = [1.0 + 0.0j] * f.n
     last_error: Optional[Exception] = None
     for attempt in range(3):
-        value = evaluate(f, scaled_point(t, w_float, x))
-        if value.is_zero():
+        log_value = log_abs(evaluate(f, scaled_point(t, w_float, x)))
+        if log_value == -math.inf:
             last_error = EvaluationZeroError("f vanished at the query point")
         else:
-            ratio = value.log_abs() / log_t
+            ratio = log_value / log_t
             near = [
                 beta
                 for beta in bounds.superset
@@ -217,11 +217,11 @@ def support_estimate(
         tau = tau0
         failed = False
         for _ in range(max_steps):
-            value = evaluate(f, scaled_point(math.e, [wi * tau for wi in w_float], point))
-            if value.is_zero():
+            log_value = log_abs(evaluate(f, scaled_point(math.e, [wi * tau for wi in w_float], point)))
+            if log_value == -math.inf:
                 failed = True
                 break
-            est = value.log_abs() / tau
+            est = log_value / tau
             samples.append((tau, est))
             multiple = round(est / gen_f)
             dist = abs(est - multiple * gen_f)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import eval_oracle as ev
 from . import witness_oracle as wo
-from .polytope import CutFilter, LatticePolytope, Point, convex_hull, support_function
+from .polytope import CutFilter, LatticePolytope, Point, _rank, _sub, convex_hull, support_function
 from .slp import Exponent, Slp
 
 
@@ -281,16 +281,8 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         return beta
 
     def affine_rank(points) -> int:
-        pts = list(points)
-        if len(pts) <= 1:
-            return 0
-        base = pts[0]
-        from .polytope import _FracRowBasis, _sub  # exact rank bookkeeping
-
-        basis = _FracRowBasis(n)
-        for p in pts[1:]:
-            basis.add(_sub(p, base))
-        return basis.rank
+        base, *rest = points
+        return _rank([_sub(p, base) for p in rest])
 
     # ---- seed phase
     seed_dirs: List[Tuple] = []

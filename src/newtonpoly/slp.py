@@ -1,10 +1,14 @@
-"""Polynomial representations: sparse monomial form and straight-line programs.
+"""Polynomial representations and the one evaluation kernel.
 
 A sparse polynomial is a list of (coefficient, exponent vector) terms; a
 straight-line program (SLP) is a sequence of input / constant / add / mul
 instructions that evaluates a polynomial without ever expanding it into
-monomials.  Both evaluate over :class:`~newtonpoly.numbers.ScaledComplex`,
-which is what makes the huge stretch factors used by the vertex oracles safe.
+monomials.  Every evaluation of f in the package runs one interpreter:
+each program is compiled once into a flat list of add/mul operations over a
+register file whose constants are already complex, and :func:`evaluate`
+(value) or :func:`evaluate_dir` (value and directional derivative) runs it
+on (complex mantissa, int exponent) pairs, which is what makes the huge
+stretch factors used by the vertex oracles safe.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
-from .numbers import SCALED_ZERO, GaussianRational, ScaledComplex, parse_coefficient
+from .numbers import GaussianRational, parse_coefficient
 
 Exponent = Tuple[int, ...]
 Coefficient = Union[GaussianRational, complex]
@@ -138,7 +143,7 @@ def parse_sparse(text: str) -> SparsePolynomial:
 
 # SLP instructions are tagged tuples:
 #   ("in", i)      -- 0-based input slot
-#   ("const", c)   -- GaussianRational constant
+#   ("const", c)   -- GaussianRational (or complex) constant
 #   ("add", j, k)  -- registers j, k strictly earlier
 #   ("mul", j, k)
 Instruction = tuple
@@ -167,6 +172,28 @@ class Slp:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def code(self):
+        """The kernel's compiled form: (constants, operations, output slot).
+
+        Slots 0..n-1 hold the inputs and the constants follow as pairs; each
+        operation (is_mul, j, k) appends one slot.
+        """
+        n_const = sum(ins[0] == "const" for ins in self.instructions)
+        consts: list = []
+        ops: list = []
+        slot: list = []
+        for ins in self.instructions:
+            if ins[0] == "in":
+                slot.append(ins[1])
+            elif ins[0] == "const":
+                slot.append(self.n + len(consts))
+                consts.append(_pair(_coeff_to_complex(ins[1])))
+            else:
+                slot.append(self.n + n_const + len(ops))
+                ops.append((ins[0] == "mul", slot[ins[1]], slot[ins[2]]))
+        return tuple(consts), tuple(ops), slot[self.output]
 
 
 def parse_slp(text: str) -> Slp:
@@ -280,8 +307,6 @@ def sparse_to_slp(p: SparsePolynomial) -> Slp:
         else:
             is_one = coeff == 1
         if not is_one or not factors:
-            if not isinstance(coeff, GaussianRational):
-                raise ValueError("only exact coefficients can be compiled to a program")
             factors.append(emit(("const", coeff)))
         term = factors[0]
         for reg in factors[1:]:
@@ -290,65 +315,175 @@ def sparse_to_slp(p: SparsePolynomial) -> Slp:
     return Slp(p.n, tuple(instructions), total)
 
 
-def evaluate(f: Slp, xs: Sequence[ScaledComplex]) -> ScaledComplex:
-    """Run the program on scaled-complex inputs."""
+# ---------------------------------------------------------------------------
+# the evaluation kernel
+#
+# Values are pairs (m, e) standing for m * 2**e: a complex double mantissa and
+# a Python int exponent, so log-magnitudes in the hundreds of millions stay
+# exact in the exponent while m keeps double precision.  Renormalization is
+# lazy: a result is rescaled only when |m| leaves [2**-300, 2**300].  Inside
+# that window the product of two mantissas, and the sum of two such products
+# in a derivative, stays within [2**-601, 2**601], far from both ends of the
+# double range, so no operation needs a check before it runs; and a value can
+# grow or shrink by 2**300 before it is rescaled at all.
+
+LN2 = math.log(2.0)
+_ZERO = (0j, 0)
+_LO = 2.0**-300
+_HI = 2.0**300
+# _SHIFT[d] == 2**-d, every entry exact.  Past the table an addend (mantissa
+# below 2**301) is under 2**-474 of the other operand (mantissa at least
+# 2**-300), so _add drops it.  The two products in a derivative span
+# [2**-601, 2**601] and are renormalized before they are dropped that way.
+_SHIFT = tuple(2.0**-d for d in range(1075))
+_SPAN = len(_SHIFT)
+
+
+def _renorm(m: complex, e: int):
+    """The same value with |m| in [1/2, 1); zero becomes (0j, 0)."""
+    if not m:
+        return _ZERO
+    shift = math.frexp(abs(m))[1]
+    return complex(math.ldexp(m.real, -shift), math.ldexp(m.imag, -shift)), e + shift
+
+
+def _pair(m, e: int = 0):
+    m = complex(m)
+    return (m, e) if _LO <= abs(m) <= _HI else _renorm(m, e)
+
+
+def _add(am: complex, ae: int, bm: complex, be: int):
+    """The sum of two pairs, aligned to the larger exponent."""
+    if not am:
+        return bm, be
+    if not bm:
+        return am, ae
+    d = ae - be
+    if d >= 0:
+        return (am + bm * _SHIFT[d] if d < _SPAN else am), ae
+    return (bm + am * _SHIFT[-d] if -d < _SPAN else bm), be
+
+
+def log_abs(z) -> float:
+    """Natural log of |m * 2**e|; -inf for zero.
+
+    Read off the mantissa rescaled to [1, 2), so the result does not depend on
+    where the lazy exponent happens to sit.
+    """
+    m, e = z
+    if not m:
+        return -math.inf
+    frac, shift = math.frexp(abs(m))
+    return math.log(2.0 * frac) + (e + shift - 1) * LN2
+
+
+def to_complex(z) -> complex:
+    """Collapse a pair to an ordinary complex.
+
+    Underflow flushes to zero (as double arithmetic would); overflow raises,
+    since silently producing inf would corrupt downstream sums.
+    """
+    m, e = z
+    if not m:
+        return 0j
+    exponent = e + math.frexp(abs(m))[1] - 1  # of the mantissa rescaled to [1, 2)
+    if exponent < -1100:
+        return 0j
+    if exponent > 1000:
+        raise OverflowError(f"scaled value 2**{exponent} does not fit a double")
+    return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+
+
+def evaluate(f: Slp, xs: Sequence[Tuple[complex, int]]) -> Tuple[complex, int]:
+    """The program's value at pair inputs, as a pair."""
     if len(xs) != f.n:
         raise ValueError(f"expected {f.n} inputs, got {len(xs)}")
-    regs: list = [None] * len(f.instructions)
-    for idx, ins in enumerate(f.instructions):
-        op = ins[0]
-        if op == "in":
-            regs[idx] = xs[ins[1]]
-        elif op == "const":
-            regs[idx] = ScaledComplex.from_complex(ins[1].to_complex())
-        elif op == "add":
-            regs[idx] = regs[ins[1]] + regs[ins[2]]
+    consts, ops, out = f.code
+    regs = [_pair(m, e) for m, e in xs]
+    regs += consts
+    push = regs.append
+    for mul, j, k in ops:
+        am, ae = regs[j]
+        bm, be = regs[k]
+        if mul:
+            m = am * bm
+            e = ae + be
         else:
-            regs[idx] = regs[ins[1]] * regs[ins[2]]
-    return regs[f.output]
+            m, e = _add(am, ae, bm, be)
+        push((m, e) if _LO <= abs(m) <= _HI else _renorm(m, e))
+    return regs[out]
 
 
-def evaluate_dir(
-    f: Slp, xs: Sequence[ScaledComplex], vs: Sequence[ScaledComplex]
-) -> Tuple[ScaledComplex, ScaledComplex]:
-    """Value and directional derivative along ``vs`` in one forward pass.
+def evaluate_dir(f: Slp, xs: Sequence[Tuple[complex, int]], vs: Sequence[Tuple[complex, int]]):
+    """Value and directional derivative along ``vs``, as two pairs, in one pass.
 
     Dual numbers (value, derivative) propagate through the program, so no
     derivative program is ever materialized.
     """
     if len(xs) != f.n or len(vs) != f.n:
         raise ValueError(f"expected {f.n} inputs and directions")
-    regs: list = [None] * len(f.instructions)
-    for idx, ins in enumerate(f.instructions):
-        op = ins[0]
-        if op == "in":
-            regs[idx] = (xs[ins[1]], vs[ins[1]])
-        elif op == "const":
-            regs[idx] = (ScaledComplex.from_complex(ins[1].to_complex()), SCALED_ZERO)
-        elif op == "add":
-            a, da = regs[ins[1]]
-            b, db = regs[ins[2]]
-            regs[idx] = (a + b, da + db)
+    consts, ops, out = f.code
+    regs = [_pair(*x) + _pair(*v) for x, v in zip(xs, vs)]
+    regs += [c + _ZERO for c in consts]
+    push = regs.append
+    for mul, j, k in ops:
+        am, ae, adm, ade = regs[j]
+        bm, be, bdm, bde = regs[k]
+        if mul:
+            m = am * bm
+            e = ae + be
+            # (ab)' = a b' + b a'
+            p = am * bdm
+            q = bm * adm
+            if not q:
+                dm = p
+                de = ae + bde
+            elif not p:
+                dm = q
+                de = be + ade
+            else:
+                pe = ae + bde
+                qe = be + ade
+                d = pe - qe
+                if 0 <= d < _SPAN:
+                    dm = p + q * _SHIFT[d]
+                    de = pe
+                elif -_SPAN < d < 0:
+                    dm = q + p * _SHIFT[-d]
+                    de = qe
+                else:  # unnormalized products this far apart: align them from [1/2, 1)
+                    dm, de = _add(*_renorm(p, pe), *_renorm(q, qe))
         else:
-            a, da = regs[ins[1]]
-            b, db = regs[ins[2]]
-            regs[idx] = (a * b, a * db + b * da)
-    return regs[f.output]
+            m, e = _add(am, ae, bm, be)
+            dm, de = _add(adm, ade, bdm, bde)
+        if not _LO <= abs(m) <= _HI:
+            m, e = _renorm(m, e)
+        if not _LO <= abs(dm) <= _HI:
+            dm, de = _renorm(dm, de)
+        push((m, e, dm, de))
+    m, e, dm, de = regs[out]
+    return (m, e), (dm, de)
 
 
 def eval_complex(f: Slp, xs: Sequence[complex]) -> complex:
     """Plain complex evaluation (no overflow protection; for small inputs)."""
-    return evaluate(f, [ScaledComplex.from_complex(x) for x in xs]).to_complex()
+    return to_complex(evaluate(f, [(x, 0) for x in xs]))
 
 
 def scaled_point(t: float, w: Sequence[float], x: Sequence[complex]) -> list:
-    """The coordinatewise stretch (t**w1 * x1, ..., t**wn * xn) as scaled values."""
+    """The coordinatewise stretch (t**w1 * x1, ..., t**wn * xn) as pairs."""
     if t <= 0:
         raise ValueError("stretch parameter t must be positive")
     if len(w) != len(x):
         raise ValueError("weight and point dimensions differ")
     log2t = math.log2(t)
-    return [ScaledComplex.from_log2(complex(xi), float(wi) * log2t) for wi, xi in zip(w, x)]
+    return [scaled(complex(xi), float(wi) * log2t) for wi, xi in zip(w, x)]
+
+
+def scaled(base: complex, log2_scale: float) -> Tuple[complex, int]:
+    """The pair for base * 2**log2_scale: whole part in the exponent, the rest in the mantissa."""
+    whole = math.floor(log2_scale)
+    return base * 2.0 ** (log2_scale - whole), whole
 
 
 def restrict_to_face(p: SparsePolynomial, w: Sequence[float]):

@@ -6,6 +6,12 @@ distinguished limits on the line or run off to infinity.  Counting the
 cluster sizes reads off the exposed vertex coordinate by coordinate, and the
 observed convergence/divergence speeds are checked against explicit
 subexponential bounds before a vertex is certified.
+
+The tracker reads f only through a line backend's ``eval_ds``: the value of
+s -> f(t^w . (s a - b)) and its s-derivative, as kernel pairs.
+:class:`SlpLineBackend` runs a straight-line program through
+:func:`~newtonpoly.slp.evaluate_dir`; :class:`SparseLineBackend` is the same
+backend on ``sparse_to_slp`` of a polynomial given by its terms.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numbers import ScaledComplex
-from .slp import Exponent, SparsePolynomial, Slp, evaluate_dir
+from .slp import Exponent, SparsePolynomial, Slp, _coeff_to_complex, evaluate_dir, scaled, sparse_to_slp, to_complex
 
 LN2 = math.log(2.0)
 
@@ -61,70 +66,15 @@ class RateViolationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # line-intersection backends
 
-class SparseLineBackend:
-    """Exact term-by-term evaluation of s -> f(t^w . (s a - b)).
-
-    Terms are rescaled by the dominant power of t before summing, so plain
-    complex arithmetic suffices for any stretch that occurs in practice.
-    """
-
-    def __init__(self, poly: SparsePolynomial):
-        if poly.is_zero():
-            raise ValueError("the zero polynomial defines no hypersurface")
-        self.poly = poly
-        self.n = poly.n
-        self._dots: Dict[Tuple[float, ...], Tuple[List[float], float]] = {}
-
-    def degree_bound(self) -> int:
-        return self.poly.total_degree()
-
-    def _weights(self, w: Tuple[float, ...]):
-        cached = self._dots.get(w)
-        if cached is None:
-            dots = [
-                sum(wi * a for wi, a in zip(w, alpha)) for _, alpha in self.poly.terms
-            ]
-            cached = (dots, max(dots))
-            self._dots[w] = cached
-        return cached
-
-    def eval_ds(self, line: "WitnessLine", s: complex, t: float, w: Sequence[float]):
-        w_key = tuple(float(x) for x in w)
-        dots, h = self._weights(w_key)
-        lnt = math.log(t)
-        p = [s * ai - bi for ai, bi in zip(line.a, line.b)]
-        g = 0j
-        dg = 0j
-        for (coeff, alpha), dot in zip(self.poly.terms, dots):
-            scale = math.exp((dot - h) * lnt) if lnt else 1.0
-            if scale == 0.0:
-                continue
-            c = coeff.to_complex() if hasattr(coeff, "to_complex") else complex(coeff)
-            c *= scale
-            val = 1 + 0j
-            for pi, a in zip(p, alpha):
-                if a:
-                    val *= pi**a
-            g += c * val
-            for i, a in enumerate(alpha):
-                if not a:
-                    continue
-                dterm = a * line.a[i] * p[i] ** (a - 1)
-                for j, aj in enumerate(alpha):
-                    if j != i and aj:
-                        dterm *= p[j] ** aj
-                dg += c * dterm
-        return ScaledComplex.from_complex(g), ScaledComplex.from_complex(dg)
-
-
 class SlpLineBackend:
-    """Black-box program evaluation of s -> f(t^w . (s a - b)) with scaled arithmetic."""
+    """Black-box program evaluation of s -> f(t^w . (s a - b)) and its s-derivative."""
 
     def __init__(self, slp: Slp):
         self.slp = slp
         self.n = slp.n
 
     def degree_bound(self) -> int:
+        """Formal degree of the program (the total degree for ``sparse_to_slp`` output)."""
         degs: List[int] = []
         for ins in self.slp.instructions:
             if ins[0] == "in":
@@ -138,16 +88,20 @@ class SlpLineBackend:
         return degs[self.slp.output]
 
     def eval_ds(self, line: "WitnessLine", s: complex, t: float, w: Sequence[float]):
+        """(f, df/ds) at the line point for parameter s, as kernel pairs."""
         log2t = math.log2(t)
-        xs = [
-            ScaledComplex.from_log2(s * ai - bi, float(wi) * log2t)
-            for ai, bi, wi in zip(line.a, line.b, w)
-        ]
-        vs = [
-            ScaledComplex.from_log2(ai, float(wi) * log2t)
-            for ai, wi in zip(line.a, w)
-        ]
+        xs = [scaled(s * ai - bi, float(wi) * log2t) for ai, bi, wi in zip(line.a, line.b, w)]
+        vs = [scaled(ai, float(wi) * log2t) for ai, wi in zip(line.a, w)]
         return evaluate_dir(self.slp, xs, vs)
+
+
+class SparseLineBackend(SlpLineBackend):
+    """The line backend for a polynomial given by its terms: evaluates ``sparse_to_slp(poly)``."""
+
+    def __init__(self, poly: SparsePolynomial):
+        if poly.is_zero():
+            raise ValueError("the zero polynomial defines no hypersurface")
+        super().__init__(sparse_to_slp(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +217,7 @@ def initial_roots(backend, line: WitnessLine, degree_hint: Optional[int] = None)
     zeros = [0.0] * line.n
 
     def phi(s: complex) -> complex:
-        return backend.eval_ds(line, s, 1.0, zeros)[0].to_complex()
+        return to_complex(backend.eval_ds(line, s, 1.0, zeros)[0])
 
     coeffs = _interpolate(phi, cap + 1, 1.0)
     scale = max(abs(c) for c in coeffs)
@@ -363,15 +317,16 @@ class TrackedPath:
 def _newton_correct(backend, line, w, s: complex, t: float):
     rel = math.inf
     for _ in range(30):
-        g, dg = backend.eval_ds(line, s, t, w)
-        if g.is_zero():
+        (g, ge), (dg, dge) = backend.eval_ds(line, s, t, w)
+        if not g:
             return s, 0.0
-        if dg.is_zero():
+        if not dg:
             return None
         quotient = g / dg
-        if quotient.exponent > 64:
+        exponent = ge - dge + math.frexp(abs(quotient))[1]
+        if exponent > 65:  # |g / dg| >= 2**65: no usable step
             return None
-        step = quotient.to_complex()
+        step = to_complex((quotient, ge - dge))
         s = s - step
         rel = abs(step) / (1.0 + abs(s))
         if rel < 1e-12:
@@ -675,9 +630,7 @@ def rate_params_from_sparse(
     table_variant: bool = False,
     C: Optional[float] = None,
 ) -> RateParams:
-    mags = []
-    for coeff, _ in poly.terms:
-        mags.append(abs(coeff.to_complex() if hasattr(coeff, "to_complex") else complex(coeff)))
+    mags = [abs(_coeff_to_complex(coeff)) for coeff, _ in poly.terms]
     return rate_params_from_support(poly.support(), mags, w, consts, table_variant, C=C)
 
 

@@ -189,7 +189,33 @@ class TestVertex:
         assert out.strip().splitlines()[1:] == rows
 
 
+QUAD_CONFIG = json.loads((FIXTURES / "quad_witness.json").read_text())
+
+
+def _quad_config(**changes) -> dict:
+    """The quad witness config, pointing at the fixture, with some entries replaced."""
+    config = dict(QUAD_CONFIG, backend={"type": "sparse", "path": str(FIXTURES / "quad.poly")})
+    config.update(changes)
+    return {"w.json": json.dumps(config)}
+
+
+WITNESS_VERTEX = ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"]
+
 BAD_INPUTS = {
+    "superset-rational-entry": (
+        {"s.pts": "1/2 0 1\n0 2 0\n"},
+        [
+            "vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"), "--superset", "s.pts",
+            "--w", "1,0,1", "--delta", "2", "--lambda", "2",
+        ],
+    ),
+    "witness-line-not-pairs": (_quad_config(line={"a": 5}), WITNESS_VERTEX),
+    "witness-line-wrong-length": (_quad_config(line={"a": [[2, 1]], "b": [[-1, -1], [2, -3]]}), WITNESS_VERTEX),
+    "witness-t-max-not-a-number": (_quad_config(t_max="abc"), WITNESS_VERTEX),
+    "witness-t-max-flag-below-1": (_quad_config(), WITNESS_VERTEX + ["--t-max", "-5"]),
+    "witness-degree-not-an-integer": (_quad_config(degree="x"), WITNESS_VERTEX),
+    "witness-C-not-a-number": (_quad_config(C="big"), WITNESS_VERTEX),
+    "witness-seed-not-an-integer": (_quad_config(seed=1.5), WITNESS_VERTEX),
     "reconstruct-delta-below-1": (
         {},
         [

@@ -1,16 +1,8 @@
-import cmath
-import math
-import random
 from fractions import Fraction
 
 import pytest
 
-from newtonpoly.numbers import (
-    ABSORB_GAP,
-    GaussianRational,
-    ScaledComplex,
-    parse_coefficient,
-)
+from newtonpoly.numbers import GaussianRational, parse_coefficient
 
 
 class TestGaussianRational:
@@ -51,71 +43,3 @@ class TestGaussianRational:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_coefficient(text)
-
-
-class TestScaledComplex:
-    def test_normalization_invariant(self):
-        rng = random.Random(0)
-        values = [
-            ScaledComplex(complex(rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.randint(-400, 400))
-            for _ in range(200)
-        ]
-        values = [v for v in values if not v.is_zero()]
-        for a, b in zip(values, values[1:]):
-            for result in (a + b, a * b, a - b, a / b):
-                if not result.is_zero():
-                    assert 1.0 <= abs(result.mantissa) < 2.0
-
-    def test_exponent_arithmetic_is_exact(self):
-        a = ScaledComplex(1.5, 10**9)
-        b = ScaledComplex(1.25, -(10**9) + 7)
-        c = a * b
-        assert c.exponent == 10**9 + (-(10**9) + 7) + (
-            math.frexp(1.5 * 1.25)[1] - 1
-        )
-        # multiplication exponents associate exactly
-        d = ScaledComplex(1.1, 12345)
-        assert ((a * b) * d).exponent == (a * (b * d)).exponent
-
-    def test_matches_complex_arithmetic_in_range(self):
-        rng = random.Random(1)
-        for _ in range(100):
-            x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            y = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if x == 0 or y == 0:
-                continue
-            sx, sy = ScaledComplex.from_complex(x), ScaledComplex.from_complex(y)
-            assert cmath.isclose((sx + sy).to_complex(), x + y, rel_tol=1e-14, abs_tol=1e-14)
-            assert cmath.isclose((sx * sy).to_complex(), x * y, rel_tol=1e-14)
-            assert cmath.isclose((sx / sy).to_complex(), x / y, rel_tol=1e-14)
-
-    def test_absorption_flags_large_gap_adds(self):
-        big = ScaledComplex(1.0, 500)
-        small = ScaledComplex(1.0, 500 - ABSORB_GAP - 1)
-        result = big + small
-        assert result.absorbed
-        assert result.exponent == 500 and result.mantissa == 1.0
-        near = ScaledComplex(1.0, 500 - 10)
-        assert not (big + near).absorbed
-
-    def test_zero_handling(self):
-        zero = ScaledComplex(0)
-        one = ScaledComplex(1.0)
-        assert zero.is_zero() and (zero + one).to_complex() == 1.0
-        assert (one * zero).is_zero()
-        assert zero.log_abs() == float("-inf")
-        with pytest.raises(ZeroDivisionError):
-            one / zero
-
-    def test_huge_log_magnitudes(self):
-        v = ScaledComplex.from_log2(1.0, 1.4e9)
-        assert v.log_abs() == pytest.approx(1.4e9 * math.log(2.0), rel=1e-12)
-        w = v * v
-        assert w.log_abs() == pytest.approx(2.8e9 * math.log(2.0), rel=1e-12)
-
-    def test_to_complex_underflow_flushes_to_zero(self):
-        tiny = ScaledComplex(1.3, -4148)
-        assert tiny.to_complex() == 0j
-        with pytest.raises(OverflowError):
-            ScaledComplex(1.3, 4148).to_complex()
-
