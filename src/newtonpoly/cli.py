@@ -335,7 +335,12 @@ def cmd_vertex(args) -> int:
         raise InputError(f"direction has {len(w)} entries, expected {line.n}")
     try:
         cert = wo.witness_vertex_query(backend, line, consts, list(w), wcfg)
-    except (wo.IndeterminateError, wo.RateViolationError, wo.PathCrossingError) as exc:
+    except (
+        wo.IndeterminateError,
+        wo.RateViolationError,
+        wo.PathCrossingError,
+        wo.TrackingFailureError,
+    ) as exc:
         raise IndeterminateExit(str(exc)) from exc
     record = {
         "w": [str(x) for x in w],

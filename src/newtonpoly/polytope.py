@@ -1,7 +1,10 @@
 """Exact lattice-polytope computations.
 
-Everything here runs in exact arithmetic: Python integers for hull
-construction and Fractions for rank/solve steps.  The incremental
+Everything here runs in exact arithmetic.  The hull and every rank step run
+in integers (fraction-free elimination, int64 dot products where a magnitude
+bound allows, Python integers otherwise); Fractions appear only in
+``_solve_fraction``, the ``AffineIso`` witness and the rational directions
+``support_function`` and ``CutFilter.keep`` accept.  The incremental
 (beneath-beyond) hull inserts one point at a time, replacing the facets the
 point sees by the cone over the horizon; ties (point on a facet hyperplane)
 are handled by re-triangulating the touched facet, and non-extreme corners
@@ -96,27 +99,33 @@ def _canonical_sign(vec: Point) -> Point:
     return vec
 
 
-class _FracRowBasis:
-    """Incremental row basis over the rationals (for rank bookkeeping)."""
+class _RowBasis:
+    """Incremental row basis of integer rows (for rank bookkeeping).
+
+    Fraction-free elimination: a new row is reduced by ``row * b - a *
+    basis_row`` at each stored pivot and stored divided by its gcd, so every
+    stored row is a nonzero multiple of the rational echelon row with the
+    same pivot.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: List[List[Fraction]] = []
+        self.rows: List[Point] = []
         self.pivots: List[int] = []
 
     def _reduce(self, row):
-        row = [Fraction(x) for x in row]
         for basis_row, piv in zip(self.rows, self.pivots):
-            if row[piv]:
-                factor = row[piv] / basis_row[piv]
-                row = [a - factor * b for a, b in zip(row, basis_row)]
+            a = row[piv]
+            if a:
+                b = basis_row[piv]
+                row = [x * b - a * y for x, y in zip(row, basis_row)]
         return row
 
     def add(self, row) -> bool:
         reduced = self._reduce(row)
         for j, x in enumerate(reduced):
             if x:
-                self.rows.append(reduced)
+                self.rows.append(_primitive(reduced))
                 self.pivots.append(j)
                 return True
         return False
@@ -126,13 +135,15 @@ class _FracRowBasis:
         return len(self.rows)
 
 
-def _rank(rows: Iterable[Sequence]) -> int:
+def _rank(rows: Iterable[Sequence[int]]) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    basis = _FracRowBasis(len(rows[0]))
+    basis = _RowBasis(len(rows[0]))
     for row in rows:
         basis.add(row)
+        if basis.rank == basis.width:
+            break
     return basis.rank
 
 
@@ -227,16 +238,43 @@ def _solve_fraction(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fr
 
 
 def _simplex_normal(points: Sequence[Point]) -> Optional[Point]:
-    """Integer normal of the hyperplane through d points in Z^d (None if degenerate)."""
+    """Primitive normal of the hyperplane through d points in Z^d (None if degenerate).
+
+    One fraction-free Gauss-Jordan elimination of the d-1 difference rows
+    leaves the last pivot p in every pivot column on its own row and zeros
+    elsewhere in that column.  The kernel vector is then p in the one free
+    column and minus the row's entry in the free column at each pivot column.
+    """
     d = len(points[0])
     base = points[0]
-    rows = [_sub(p, base) for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in rows]
-        normal.append((-1) ** j * _int_det(minor))
-    if all(x == 0 for x in normal):
-        return None
+    m = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    pivot_cols: List[int] = []
+    free: List[int] = []
+    prev = 1
+    for c in range(d):
+        r = len(pivot_cols)
+        for piv in range(r, d - 1):
+            if m[piv][c]:
+                break
+        else:
+            free.append(c)
+            if len(free) > 1:
+                return None
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(d - 1):
+            if i != r:
+                a = m[i][c]
+                m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+        pivot_cols.append(c)
+    (f,) = free
+    normal = [0] * d
+    normal[f] = prev
+    for row, c in zip(m, pivot_cols):
+        normal[c] = -row[f]
     return _primitive(normal)
 
 
@@ -244,7 +282,7 @@ def _simplex_normal(points: Sequence[Point]) -> Optional[Point]:
 # full-dimensional beneath-beyond
 
 def _initial_simplex(pts: Sequence[Point], d: int) -> List[int]:
-    basis = _FracRowBasis(d)
+    basis = _RowBasis(d)
     chosen = [0]
     for i in range(1, len(pts)):
         if basis.add(_sub(pts[i], pts[0])):
@@ -259,20 +297,25 @@ def _hull_fulldim(pts: List[Point], d: int):
 
     Facets are kept as oriented simplices (index sets of size d) glued along
     ridges; coplanar simplices triangulating one geometric facet are merged
-    when reporting planes.
+    when reporting planes.  Each facet carries its exact dot products with
+    all of pts, computed once when it is created; every later test of a point
+    against the facet reads that list.
     """
     simplex = _initial_simplex(pts, d)
-    ref = tuple(Fraction(sum(pts[i][j] for i in simplex), d + 1) for j in range(d))
+    # d+1 times the simplex centroid, an interior point with integer entries
+    ref = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
+    # object dtype keeps any entry exact; CutFilter stores int64 when they fit
+    points = CutFilter(np.array(pts, dtype=object).T)
 
-    facets: dict = {}
+    facets: dict = {}  # id -> (normal, offset, corners, dots with every point)
     ridge_map: dict = {}
     next_id = 0
 
     def orient(normal: Point, offset: int) -> Tuple[Point, int]:
         r = _dot(normal, ref)
-        if r == offset:
+        if r == (d + 1) * offset:
             raise HullError("reference point lies on a facet hyperplane")
-        if r > offset:
+        if r > (d + 1) * offset:
             return tuple(-x for x in normal), -offset
         return normal, offset
 
@@ -285,12 +328,12 @@ def _hull_fulldim(pts: List[Point], d: int):
         normal, offset = orient(normal, _dot(normal, pts_list[0]))
         fid = next_id
         next_id += 1
-        facets[fid] = (normal, offset, corners)
+        facets[fid] = (normal, offset, corners, points.dots(normal).tolist())
         for drop in corners:
             ridge_map.setdefault(corners - {drop}, []).append(fid)
 
     def remove_facet(fid: int) -> None:
-        _, _, corners = facets.pop(fid)
+        corners = facets.pop(fid)[2]
         for drop in corners:
             ridge = corners - {drop}
             ridge_map[ridge].remove(fid)
@@ -302,11 +345,10 @@ def _hull_fulldim(pts: List[Point], d: int):
 
     order = [i for i in range(len(pts)) if i not in simplex]
     for ip in order:
-        p = pts[ip]
         strict = False
         visible = []
-        for fid, (normal, offset, _) in facets.items():
-            s = _dot(normal, p)
+        for fid, (_, offset, _, dots) in facets.items():
+            s = dots[ip]
             if s > offset:
                 strict = True
                 visible.append(fid)
@@ -334,28 +376,27 @@ def _hull_fulldim(pts: List[Point], d: int):
                 fresh.append(before)
         # exactness guard: new planes must support every live corner
         # (kept facets already had p on their non-positive side)
-        corner_ids = set().union(*(c for _, _, c in facets.values()))
+        corner_ids = set().union(*(f[2] for f in facets.values()))
         for fid in fresh:
-            normal, offset, _ = facets[fid]
-            for ci in corner_ids:
-                if _dot(normal, pts[ci]) > offset:
-                    raise HullError("hull insertion produced an unsupported plane")
+            _, offset, _, dots = facets[fid]
+            if max(map(dots.__getitem__, corner_ids)) > offset:
+                raise HullError("hull insertion produced an unsupported plane")
 
-    planes: dict = {}
-    for normal, offset, corners in facets.values():
-        planes.setdefault((normal, offset), set()).update(corners)
+    planes: dict = {}  # (normal, offset) -> (members, dots with every point)
+    for normal, offset, corners, dots in facets.values():
+        planes.setdefault((normal, offset), (set(), dots))[0].update(corners)
 
-    candidates = set().union(*(c for _, _, c in facets.values()))
+    candidates = set().union(*(f[2] for f in facets.values()))
     tight_normals = {i: [] for i in candidates}
-    for (normal, offset) in planes:
+    for (normal, offset), (members, dots) in planes.items():
         for i in candidates:
-            if _dot(normal, pts[i]) == offset:
-                planes[(normal, offset)].add(i)
+            if dots[i] == offset:
+                members.add(i)
                 tight_normals[i].append(normal)
     vertex_ids = {i for i in candidates if _rank(tight_normals[i]) == d}
     facet_list = [
         (normal, offset, tuple(sorted(members & vertex_ids)))
-        for (normal, offset), members in planes.items()
+        for (normal, offset), (members, _) in planes.items()
     ]
     return facet_list, vertex_ids
 
@@ -417,7 +458,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
 
     origin = pts[0]
     diffs = [_sub(p, origin) for p in pts[1:]]
-    basis = _FracRowBasis(n)
+    basis = _RowBasis(n)
     for drow in diffs:
         basis.add(drow)
     dim = basis.rank
@@ -430,7 +471,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     )
 
     # choose an independent coordinate subset for a lattice-preserving projection
-    col_basis = _FracRowBasis(basis.rank)
+    col_basis = _RowBasis(basis.rank)
     proj_cols: List[int] = []
     for j in range(n):
         column = [row[j] for row in basis.rows]
@@ -493,7 +534,7 @@ class CutFilter:
     without building it, and the columns of a point matrix describe those
     points.  Dot products run in int64 when a magnitude bound built from each
     axis' largest absolute entry stays below 2^62, and in Python integers
-    otherwise.
+    otherwise (``dots``).
     """
 
     def __init__(self, axes: Sequence):
@@ -504,19 +545,21 @@ class CutFilter:
         self.axes = [np.ascontiguousarray(a, dtype=np.int64 if small else object) for a in axes]
         self.shape = np.broadcast(*self.axes).shape
 
+    def dots(self, w: Sequence[int]) -> np.ndarray:
+        """Exact dot products ``w . x`` of the points (broadcast shape), for
+        an integer w: int64 when sum |w_j| * max(1, |x_j|) < 2^62, Python
+        integers otherwise."""
+        wide = sum(abs(s) * max(1, m) for s, m in zip(w, self._mags)) >= 2**62
+        return sum((s * (a.astype(object) if wide else a) for s, a in zip(w, self.axes) if s), 0)
+
     def keep(self, cuts: Iterable[Tuple[Sequence, object, bool]]) -> np.ndarray:
         """Boolean mask (of the broadcast shape) of the points satisfying
         every cut ``(w, h, equal)``: ``w . x <= h``, or ``w . x == h`` when
         ``equal`` is set.  Entries of w and h are ints or Fractions."""
-        scaled = [(*_integer_cut(w, h), equal) for w, h, equal in cuts]
-        fits = all(
-            abs(target) < 2**62 and sum(abs(s) * max(1, m) for s, m in zip(ws, self._mags)) < 2**62
-            for ws, target, _ in scaled
-        )
-        axes = self.axes if fits else [a.astype(object) for a in self.axes]
         mask = np.ones(self.shape, dtype=bool)
-        for ws, target, equal in scaled:
-            dots = sum((s * a for s, a in zip(ws, axes) if s), 0)
+        for w, h, equal in cuts:
+            ws, target = _integer_cut(w, h)
+            dots = self.dots(ws)
             mask &= (dots == target) if equal else (dots <= target)
         return mask
 
@@ -600,7 +643,7 @@ def affinely_isomorphic(P: LatticePolytope, Q: LatticePolytope):
     q_origin, q_basis, q_coords = _lattice_coordinates(Q.vertices, Q.n)
     q_coord_set = set(q_coords)
 
-    basis_rows = _FracRowBasis(dim)
+    basis_rows = _RowBasis(dim)
     anchor = [0]
     for i in range(1, len(p_coords)):
         if basis_rows.add(_sub(p_coords[i], p_coords[0])):

@@ -259,7 +259,8 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
     Seed phase: query perturbed coordinate directions and random directions
     until the vertex set stops gaining affine dimension.  Loop phase: confirm
     or refute each hull facet (and each affine-hull equality, from both
-    sides); every refutation inserts a new vertex and re-hulls.
+    sides); a round that inserts new vertices re-hulls once, and the hull of
+    the last round is the result.
     """
     cfg = config or ReconstructConfig()
     rng = random.Random(cfg.seed)
@@ -324,8 +325,8 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
     # ---- facet confirmation loop
     confirmed_planes: set = set()
     unconfirmed: List[Tuple[Point, int]] = []
+    hull = convex_hull(confirmed)
     while True:
-        hull = convex_hull(confirmed)
         tasks = []  # (plane key, normal, offset)
         for f in hull.facets:
             if (f.normal, f.offset) not in confirmed_planes:
@@ -412,12 +413,12 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
                         f"oracle answer {beta} lies strictly inside facet {normal} . x <= {offset}"
                     )
         if inserted:
+            hull = convex_hull(confirmed)
             continue
         if round_unconfirmed:
             unconfirmed = round_unconfirmed
             break
 
-    hull = convex_hull(confirmed)
     complete = not unconfirmed
     return ReconstructionReport(
         polytope=hull,

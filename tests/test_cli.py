@@ -188,6 +188,18 @@ class TestVertex:
         ]
         assert out.strip().splitlines()[1:] == rows
 
+    def test_witness_tracking_failure_exits_3(self, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise wo.TrackingFailureError("corrector stalled")
+
+        monkeypatch.setattr(wo, "witness_vertex_query", stall)
+        config = str(FIXTURES / "quad_witness.json")
+        code, _, err = run_cli(
+            ["vertex", "--backend", "witness", "--witness-config", config, "--w", "1,1"], capsys
+        )
+        assert code == 3
+        assert "indeterminate: corrector stalled" in err
+
 
 QUAD_CONFIG = json.loads((FIXTURES / "quad_witness.json").read_text())
 

@@ -1,13 +1,19 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonpoly.polytope import (
+    Facet,
     LatticePolytope,
     PolytopeInputError,
+    _rank,
+    _RowBasis,
     affinely_isomorphic,
     convex_hull,
     dilate,
@@ -182,6 +188,89 @@ class TestConvexHull:
                 assert frac_rank(diffs) == P.dim - 1
             for p in pts:
                 assert P.contains(p)
+
+
+@st.composite
+def small_point_sets(draw):
+    """Degeneracy-heavy point sets in 1-6 dimensions, small enough for brute force."""
+    d = draw(st.integers(1, 6))
+    coords = st.integers(-3, 3)
+    return draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=10 if d >= 5 else 14))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_point_sets())
+def test_hull_matches_brute_force_property(pts):
+    # small coordinates: every dot product of the hull runs in int64
+    brute, dim, cols = brute_force_facets(pts)
+    P = convex_hull(pts)
+    assert P.dim == dim
+    if dim == 0:
+        assert len(P.vertices) == 1
+        return
+    assert {(tuple(f.normal[c] for c in cols), f.offset) for f in P.facets} == brute
+    # a point is a vertex iff the facets through it have normals of full rank
+    proj = {p: tuple(p[c] for c in cols) for p in set(pts)}
+    extreme = {
+        p
+        for p, q in proj.items()
+        if frac_rank([normal for normal, offset in brute if sum(a * b for a, b in zip(normal, q)) == offset]) == dim
+    }
+    assert set(P.vertices) == extreme
+
+
+def _mapped(P, scale, shift):
+    """The image of P under x -> scale * x + shift."""
+
+    def image(normal, offset):
+        return scale * offset + sum(a * b for a, b in zip(normal, shift))
+
+    return LatticePolytope(
+        P.n,
+        P.dim,
+        tuple(tuple(scale * x + t for x, t in zip(v, shift)) for v in P.vertices),
+        tuple(Facet(f.normal, image(f.normal, f.offset), f.vertices) for f in P.facets),
+        tuple((normal, image(normal, offset)) for normal, offset in P.equalities),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_point_sets(), st.data())
+def test_hull_commutes_with_large_lattice_maps(pts, data):
+    # coordinates near 2^70 leave int64, so the hull runs in Python integers
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(pts[0]), max_size=len(pts[0])))
+    scale = data.draw(st.sampled_from((1, 2**40)))
+    shift = [s * 2**70 for s in signs]
+    moved = [tuple(scale * x + t for x, t in zip(p, shift)) for p in pts]
+    assert convex_hull(moved) == _mapped(convex_hull(pts), scale, shift)
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer rows with entries up to 2^100, some of them combinations of others."""
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**100), 2**100))
+    base = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=4))
+    coefficients = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combos = draw(st.lists(coefficients, max_size=3))
+    rows = base + [[sum(c * row[j] for c, row in zip(combo, base)) for j in range(width)] for combo in combos]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows())
+def test_row_basis_matches_rational_rank(rows):
+    assert _rank(rows) == frac_rank(rows)
+    basis = _RowBasis(len(rows[0]))
+    for row in rows:
+        basis.add(row)
+    assert basis.rank == frac_rank(rows)
+    # stored rows are primitive echelon rows: zero before their pivot and at
+    # the pivots stored before them
+    for k, (row, piv) in enumerate(zip(basis.rows, basis.pivots)):
+        assert math.gcd(*row) == 1
+        assert row[piv] and not any(row[:piv])
+        assert not any(row[other] for other in basis.pivots[:k])
 
 
 class TestSupportFunction:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from newtonpoly import reconstruct as rc
 from newtonpoly.eval_oracle import EvalBounds
 from newtonpoly.polytope import convex_hull, support_function
 from newtonpoly.reconstruct import (
@@ -109,6 +110,26 @@ class TestEvalReconstruction:
             report = reconstruct(oracle, poly.n)
             assert report.complete
             assert report.polytope == convex_hull(poly.support())
+
+    def test_unchanged_vertex_set_is_not_rehulled(self, monkeypatch):
+        calls = []
+
+        def recording_hull(points):
+            calls.append(frozenset(points))
+            return convex_hull(points)
+
+        monkeypatch.setattr(rc, "convex_hull", recording_hull)
+        rng = random.Random(47)
+        for _ in range(8):
+            poly = random_sparse(rng)
+            calls.clear()
+            oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n)
+            report = reconstruct(oracle, poly.n)
+            assert report.complete
+            assert report.polytope == convex_hull(poly.support())
+            # the report holds the hull of the last call, made once per vertex set
+            assert calls and report.polytope == convex_hull(calls[-1])
+            assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 class TestWitnessReconstruction:
