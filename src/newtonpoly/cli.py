@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--adaptive", action="store_true")
     p_rec.add_argument("--witness-config", dest="witness_config")
     p_rec.add_argument("--t-max", dest="t_max", type=float)
-    p_rec.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_rec.add_argument("--jobs", type=int, default=1)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_hull = sub.add_parser("hull", help="exact convex hull of integer points")

@@ -7,6 +7,14 @@ cluster sizes reads off the exposed vertex coordinate by coordinate, and the
 observed convergence/divergence speeds are checked against explicit
 subexponential bounds before a vertex is certified.
 
+A :class:`WitnessLine` keeps its intersection points at t = 1, and
+:func:`track_paths` continues them in lockstep.  Its predictor extrapolates
+the power law c t^g that escaping paths and paths settling onto an anchor
+ratio follow, and a secant elsewhere; Newton corrects to a tight tolerance
+only where a sample is recorded, and stops once quadratic convergence shows
+the remaining error to be negligible.  Hop guards against neighbouring and
+frozen paths reject a substep before a path can be captured by another root.
+
 The tracker reads f only through a line backend's ``eval_ds``: the value of
 s -> f(t^w . (s a - b)) and its s-derivative, as kernel pairs.
 :class:`SlpLineBackend` runs a straight-line program through
@@ -109,10 +117,17 @@ class SparseLineBackend(SlpLineBackend):
 
 @dataclass(frozen=True)
 class WitnessLine:
+    """A witness set: the line s -> s a - b and the parameters s of its
+    intersection points with the hypersurface at t = 1."""
+
     n: int
     a: Tuple[complex, ...]
     b: Tuple[complex, ...]
-    degree: int
+    roots: Tuple[complex, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.roots)
 
     def ratios(self) -> Tuple[complex, ...]:
         return tuple(bi / ai for ai, bi in zip(self.a, self.b))
@@ -139,7 +154,8 @@ def make_line(
     max_attempts: int = 5,
 ) -> WitnessLine:
     """Draw (or validate) a generic line: nonzero direction entries, separated
-    anchor ratios, and distinct simple intersection points at t = 1."""
+    anchor ratios, and distinct simple intersection points at t = 1, which
+    the returned line keeps as its witness points."""
     rng = random.Random(rng) if isinstance(rng, int) else rng
     fixed = a is not None
     attempts = 1 if fixed else max_attempts
@@ -162,13 +178,13 @@ def make_line(
         ):
             last = "anchor ratios are too close"
             continue
-        probe = WitnessLine(n, a_vec, b_vec, degree or 0)
+        probe = WitnessLine(n, a_vec, b_vec, ())
         try:
             roots = initial_roots(backend, probe, degree_hint=degree)
         except (DegreeMismatchError, RootCoincidenceError) as exc:
             last = str(exc)
             continue
-        return WitnessLine(n, a_vec, b_vec, len(roots))
+        return WitnessLine(n, a_vec, b_vec, tuple(roots))
     raise GenericityFailure(f"no generic line after {attempts} attempts: {last}")
 
 
@@ -314,9 +330,16 @@ class TrackedPath:
     cluster: Optional[int] = None
 
 
-def _newton_correct(backend, line, w, s: complex, t: float):
+def _newton_correct(backend, line, w, s: complex, t: float, tol: float = 1e-12):
+    """Newton in s at fixed t, to a relative step below ``tol``.
+
+    From the second step on, a contracting step is also accepted a
+    posteriori: with quadratic convergence the error left after a step of
+    ``rel`` that followed one of ``prev`` is about rel**3 / prev**2, and that
+    estimate is what gets returned.
+    """
     rel = math.inf
-    for _ in range(30):
+    for k in range(30):
         (g, ge), (dg, dge) = backend.eval_ds(line, s, t, w)
         if not g:
             return s, 0.0
@@ -328,9 +351,11 @@ def _newton_correct(backend, line, w, s: complex, t: float):
             return None
         step = to_complex((quotient, ge - dge))
         s = s - step
-        rel = abs(step) / (1.0 + abs(s))
-        if rel < 1e-12:
+        prev, rel = rel, abs(step) / (1.0 + abs(s))
+        if rel < tol:
             return s, rel
+        if k and rel < 1e-4 and rel < prev and rel**3 < 1e-15 * prev**2:
+            return s, rel**3 / prev**2
     return (s, rel) if rel < 1e-9 else None
 
 
@@ -353,6 +378,9 @@ FREEZE_CLUSTER = 1e-8
 # beyond this modulus a path is certainly diverging and further growth would
 # only exhaust the double range
 FREEZE_ESCAPE = 1e12
+# a corrected point that travels more than this fraction of its distance to a
+# neighbouring path has likely been captured by that path's root
+HOP_FRACTION = 0.45
 
 
 def track_paths(
@@ -362,13 +390,20 @@ def track_paths(
     t_max: float = 1e8,
     record_at: Sequence[float] = (),
 ) -> List[TrackedPath]:
-    """Continue every intersection point from t = 1 to t_max.
+    """Continue every witness point of the line from t = 1 to t_max.
 
-    Prediction extrapolates the previous slope in log t; correction is Newton
-    in s; failed corrections shrink the step in log t adaptively.  Paths deep
-    inside a cluster ball or far beyond the escape radius are frozen (their
-    later samples repeat the frozen value).  A pairwise merge guard runs over
-    the active paths at every schedule point.
+    Paths start from ``line.roots``.  The predictor (:func:`_predict`)
+    extrapolates a power law towards infinity or towards an anchor ratio, and
+    the secant of the last substep elsewhere; the corrector is Newton in s,
+    which stops at a relative step of 1e-12 on schedule points (1e-8 on the
+    substeps between them) or earlier, once quadratic convergence puts the
+    remaining error below 1e-15.  A substep is rejected and halved when the
+    corrector fails or a path hops: it lands farther from its prediction than
+    0.45 of the gap between predictions, or travels farther than 0.45 of its
+    distance to a frozen path.  Paths deep inside a cluster ball or far beyond
+    the escape radius are frozen (their later samples repeat the frozen
+    value).  A pairwise merge guard runs over the active paths at every
+    schedule point; a merge retries once on a schedule twice as dense.
     """
     w_vec = [float(x) for x in w]
     for density in (1, 2):
@@ -380,6 +415,35 @@ def track_paths(
     raise AssertionError("unreachable")
 
 
+def _predict(history, step: float, ratios, far: float, near: float) -> complex:
+    """The predicted s one substep of ``step`` in log t past a path's last
+    accepted points ``history``: two or three (log t, s) pairs, oldest first.
+
+    Escaping paths and paths settling onto an anchor ratio r grow or decay
+    like c t^g, so log(s - anchor) is extrapolated linearly in log t.  The
+    anchor is 0 beyond the modulus ``far``.  It is the nearest ratio while
+    the path approaches it inside ``near`` and its last two substeps give
+    rates within 25% of each other.  Every other path gets the secant of its
+    last substep.
+    """
+    (x1, s1), (x2, s2) = history[-2:]
+    anchor = None
+    if abs(s2) > far:
+        anchor = 0j
+    elif len(history) == 3:
+        r = min(ratios, key=lambda r: abs(s2 - r))
+        x0, s0 = history[0]
+        if abs(s2 - r) < min(near, abs(s1 - r)) and s0 != r:
+            older = cmath.log((s1 - r) / (s0 - r)) / (x1 - x0)
+            newer = cmath.log((s2 - r) / (s1 - r)) / (x2 - x1)
+            if abs(newer - older) <= 0.25 * abs(older):
+                anchor = r
+    if anchor is None or s1 == anchor:
+        return s2 + (s2 - s1) * (step / (x2 - x1))
+    rate = cmath.log((s2 - anchor) / (s1 - anchor)) / (x2 - x1)
+    return anchor + (s2 - anchor) * cmath.exp(rate * step)
+
+
 def _track_once(backend, line, w_vec, t_max, record_at, density):
     """All paths advance in lockstep on a shared adaptive substep.
 
@@ -387,18 +451,22 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
     fraction of the distance to the nearest other path has likely been
     captured by that path's root, so the substep is rejected and halved.
     """
-    roots = initial_roots(backend, line)
     schedule = _schedule(t_max, record_at, density)
     ratios = line.ratios()
-    count = len(roots)
+    count = len(line.roots)
+    far = 4.0 * max([1.0] + [abs(r) for r in ratios])
+    near = 0.1 * min(
+        (abs(p - q) for k, p in enumerate(ratios) for q in ratios[k + 1 :]), default=math.inf
+    )
 
     def is_frozen(s: complex) -> bool:
         if abs(s) > FREEZE_ESCAPE:
             return True
         return any(abs(s - r) < FREEZE_CLUSTER for r in ratios)
 
-    s_cur: List[complex] = list(roots)
-    slopes: List[Optional[complex]] = [None] * count
+    s_cur: List[complex] = list(line.roots)
+    # the last accepted (log t, s) points of each path, at most three
+    history: List[List[Tuple[float, complex]]] = [[(0.0, s)] for s in s_cur]
     frozen = [is_frozen(s) for s in s_cur]
     rels = [0.0] * count
     trails: List[List[Tuple[float, complex, float]]] = [[(1.0, s, 0.0)] for s in s_cur]
@@ -419,12 +487,17 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
             for i in range(count):
                 if frozen[i]:
                     continue
-                if slopes[i] is None:
+                if len(history[i]) < 2:
                     step = min(step, first_cap)
-                elif abs(slopes[i]) * step > 0.5 * (1.0 + abs(s_cur[i])):
-                    step = min(step, 0.5 * (1.0 + abs(s_cur[i])) / abs(slopes[i]))
+                    continue
+                (x1, s1), (x2, s2) = history[i][-2:]
+                speed = abs(s2 - s1) / (x2 - x1)
+                if speed * step > 0.5 * (1.0 + abs(s2)):
+                    step = min(step, 0.5 * (1.0 + abs(s2)) / speed)
+            # only the substep that lands on the schedule point records a sample
+            tol = 1e-12 if position + step >= end - 1e-15 else 1e-8
             preds = [
-                s_cur[i] + slopes[i] * step if (not frozen[i] and slopes[i] is not None) else s_cur[i]
+                s_cur[i] if frozen[i] or len(history[i]) < 2 else _predict(history[i], step, ratios, far, near)
                 for i in range(count)
             ]
             t_new = math.exp(position + step)
@@ -433,18 +506,27 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
             for i in range(count):
                 if frozen[i]:
                     continue
-                corrected = _newton_correct(backend, line, w_vec, preds[i], t_new)
+                corrected = _newton_correct(backend, line, w_vec, preds[i], t_new, tol)
                 if corrected is None:
                     ok = False
                     break
                 s_new, rel = corrected
+                noise = 1e-9 * (1.0 + abs(s_new))
                 spacing = min(
                     (abs(preds[i] - preds[j]) for j in range(count) if j != i),
                     default=math.inf,
                 )
                 moved = abs(s_new - preds[i])
-                if moved > 0.45 * spacing and moved > 1e-9 * (1.0 + abs(s_new)):
+                if moved > HOP_FRACTION * spacing and moved > noise:
                     ok = False  # landed suspiciously close to a neighbouring path
+                    break
+                to_frozen = min(
+                    (abs(s_cur[i] - s_cur[j]) for j in range(count) if frozen[j]),
+                    default=math.inf,
+                )
+                travel = abs(s_new - s_cur[i])
+                if travel > HOP_FRACTION * to_frozen and travel > noise:
+                    ok = False  # ran towards a frozen path's root
                     break
                 proposal[i] = (s_new, rel)
             if not ok:
@@ -456,14 +538,12 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
                     )
                 continue
             for i in range(count):
-                if frozen[i] or proposal[i] is None:
+                if frozen[i]:
                     continue
-                s_new, rel = proposal[i]
-                slopes[i] = (s_new - s_cur[i]) / step
+                s_new, rels[i] = proposal[i]
+                history[i] = (history[i] + [(position + step, s_new)])[-3:]
                 s_cur[i] = s_new
-                rels[i] = rel
-                if is_frozen(s_new):
-                    frozen[i] = True
+                frozen[i] = is_frozen(s_new)
             position += step
             step *= 1.4
         position = end

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from newtonpoly import witness_oracle as wo
-from newtonpoly.cli import main
+from newtonpoly.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
 
@@ -314,6 +314,14 @@ class TestReconstruct:
         ]
         code1, out1, _ = run_cli(args, capsys)
         code2, out2, _ = run_cli(args, capsys)
+        assert code1 == code2 == 0 and out1 == out2
+
+    def test_jobs_defaults_to_one(self, capsys):
+        # threads share the oracle's generator, so only one job fixes the output
+        args = ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--seed", "12"]
+        assert build_parser().parse_args(args).jobs == 1
+        code1, out1, _ = run_cli(args, capsys)
+        code2, out2, _ = run_cli(args + ["--jobs", "1"], capsys)
         assert code1 == code2 == 0 and out1 == out2
 
 

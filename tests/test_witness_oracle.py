@@ -4,10 +4,15 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from newtonpoly import witness_oracle as wo
 from newtonpoly.eval_oracle import EvalBounds, vertex_query
+from newtonpoly.numbers import GaussianRational
+from newtonpoly.polytope import convex_hull
+from newtonpoly.reconstruct import ReconstructConfig, WitnessVertexOracle, reconstruct
 from newtonpoly.slp import SparsePolynomial, parse_sparse, sparse_to_slp, to_complex
 from newtonpoly.witness_oracle import (
     AmbiguousClusterError,
@@ -18,6 +23,7 @@ from newtonpoly.witness_oracle import (
     RateParams,
     SlpLineBackend,
     SparseLineBackend,
+    TrackingFailureError,
     WitnessConfig,
     WitnessLine,
     classify_paths,
@@ -32,7 +38,7 @@ from newtonpoly.witness_oracle import (
     verify_rates,
     witness_vertex_query,
 )
-from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse
+from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse, rational_coefficient
 
 DECADES = (1e2, 1e4, 1e6, 1e8)
 
@@ -361,3 +367,161 @@ class TestWitnessVertexQuery:
         )
         cert = witness_vertex_query(backend, line, consts, (1, 2), cfg)
         assert sum(cert.beta) <= 2
+
+
+# ---------------------------------------------------------------------------
+# tracker soundness and invariants
+
+def _seed_215_setup():
+    """perfbench witness-sparse seed 2, input 215: a naive power-law anchor
+    once tracked it to a complete and wrong answer at direction (25, 1)."""
+    g = GaussianRational
+    poly = SparsePolynomial.from_terms(
+        2,
+        [
+            (g(Fraction(26731, 65536), Fraction(36787, 65536)), (0, 0)),
+            (g(Fraction(-10201, 16384), Fraction(-63407, 32768)), (0, 1)),
+            (g(Fraction(-1099, 16384), Fraction(-5883, 4096)), (1, 0)),
+            (g(Fraction(-671, 2048), Fraction(20333, 65536)), (1, 1)),
+        ],
+    )
+    backend = SparseLineBackend(poly)
+    line = make_line(2, random.Random(5949340451180550152), backend)
+    consts = line_constants(line, C=10.0)
+    return poly, backend, line, consts
+
+
+def _known_rates(poly, consts):
+    return lambda w: rate_params_from_sparse(poly, [float(x) for x in w], consts)
+
+
+def _naive_predict(history, step, ratios, far, near):
+    """The power-law predictor without the rate check on the near anchor."""
+    (x1, s1), (x2, s2) = history[-2:]
+    anchor = None
+    if abs(s2) > far:
+        anchor = 0j
+    else:
+        r = min(ratios, key=lambda r: abs(s2 - r))
+        if abs(s2 - r) < min(near, abs(s1 - r)):
+            anchor = r
+            _naive_predict.near_anchors += 1
+    if anchor is None or s1 == anchor:
+        return s2 + (s2 - s1) * (step / (x2 - x1))
+    rate = cmath.log((s2 - anchor) / (s1 - anchor)) / (x2 - x1)
+    return anchor + (s2 - anchor) * cmath.exp(rate * step)
+
+
+def _quadratic_roots(poly, line, t, w):
+    """Both roots of s -> f(t^w . (s a - b)) for f of total degree 2, from the
+    coefficients expanded term by term at 60 digits: in doubles the
+    expansion loses more than the tracker's accuracy once t^w is large."""
+    mpmath.mp.dps = 60
+    coeffs = [mpmath.mpc(0)] * 3  # constant, linear, quadratic
+    for coeff, alpha in poly.terms:
+        term = [mpmath.mpc(mpmath.mpf(coeff.re.numerator) / coeff.re.denominator,
+                           mpmath.mpf(coeff.im.numerator) / coeff.im.denominator)]
+        for ai, bi, wi, k in zip(line.a, line.b, w, alpha):
+            scale = mpmath.mpf(t) ** wi
+            lo, hi = -scale * mpmath.mpc(bi), scale * mpmath.mpc(ai)
+            for _ in range(k):  # multiply by the factor lo + hi s
+                term = [x * lo + y * hi for x, y in zip(term + [0], [0] + term)]
+        for j, x in enumerate(term):
+            coeffs[j] += x
+    c, b, a = coeffs
+    root = mpmath.sqrt(b * b - 4 * a * c)
+    return complex((-b + root) / (2 * a)), complex((-b - root) / (2 * a))
+
+
+def _scan_polynomial(rng):
+    """2 variables, 4 terms, total degree 2, no common monomial factor."""
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    while True:
+        support = rng.sample(monomials, 4)
+        if max(map(sum, support)) == 2 and all(min(a[i] for a in support) == 0 for i in range(2)):
+            return SparsePolynomial.from_terms(2, [(rational_coefficient(rng), a) for a in support])
+
+
+class CountingBackend(SparseLineBackend):
+    calls = 0
+
+    def eval_ds(self, line, s, t, w):
+        self.calls += 1
+        return super().eval_ds(line, s, t, w)
+
+
+class TestTrackerSoundness:
+    def test_steep_direction_certifies_the_true_vertex(self):
+        poly, backend, line, consts = _seed_215_setup()
+        cfg = WitnessConfig(rng=random.Random(3), rate_source=_known_rates(poly, consts))
+        cert = witness_vertex_query(backend, line, consts, (25, 1), cfg)
+        assert cert.beta == (1, 1)
+
+    def test_frozen_path_guard_catches_a_naive_anchor(self, monkeypatch):
+        poly, backend, line, consts = _seed_215_setup()
+        _naive_predict.near_anchors = 0
+        monkeypatch.setattr(wo, "_predict", _naive_predict)
+        cfg = WitnessConfig(rng=random.Random(3), rate_source=_known_rates(poly, consts))
+        try:
+            beta = witness_vertex_query(backend, line, consts, (25, 1), cfg).beta
+        except (IndeterminateError, TrackingFailureError):
+            beta = None
+        assert _naive_predict.near_anchors > 0
+        assert beta != (2, 0)
+
+    def test_known_rate_reconstructions_are_never_complete_and_wrong(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for k in range(120):
+            poly = _scan_polynomial(rng)
+            backend = SparseLineBackend(poly)
+            try:
+                line = make_line(2, random.Random(k), backend)
+            except GenericityFailure:
+                continue
+            consts = line_constants(line, C=10.0)
+            cfg = WitnessConfig(rng=random.Random(k), rate_source=_known_rates(poly, consts))
+            report = reconstruct(WitnessVertexOracle(backend, line, consts, cfg), 2, ReconstructConfig(seed=k))
+            assert not report.complete or report.polytope == convex_hull(poly.support()), k
+            checked += 1
+        assert checked >= 100
+
+
+class TestTrackerInvariants:
+    def test_samples_follow_the_closed_form_roots(self, quad_poly):
+        rng = random.Random(41)
+        cases = [(quad_poly, make_line(2, 0, SparseLineBackend(quad_poly), a=QUAD_LINE_A, b=QUAD_LINE_B))]
+        while len(cases) < 8:
+            poly = _scan_polynomial(rng)
+            try:
+                cases.append((poly, make_line(2, rng.randrange(10**6), SparseLineBackend(poly))))
+            except GenericityFailure:
+                continue
+        compared = 0
+        for poly, line in cases:
+            backend = SparseLineBackend(poly)
+            for w in ((1, 1), (-1, -1), (0, 1), (2, -1), (-3, 1), (25, 1)):
+                paths = track_paths(backend, line, w, t_max=1e4)
+                for k, (t, _, _) in enumerate(paths[0].samples):
+                    roots = _quadratic_roots(poly, line, t, w)
+                    matched = set()
+                    for path in paths:
+                        _, s, res = path.samples[k]
+                        if res == 0.0 and t > 1.0:
+                            continue  # frozen: the sample repeats an earlier value
+                        j = min(range(2), key=lambda j: abs(s - roots[j]))
+                        assert abs(s - roots[j]) <= 1e-9 * abs(roots[j]), (w, t)
+                        assert j not in matched
+                        matched.add(j)
+                        compared += 1
+        assert compared > 1000
+
+    def test_eval_ds_per_track_is_pinned(self):
+        # a change to the tracker's cost shows up here first.  With the secant
+        # predictor, the confirming Newton step and the t = 1 roots solved
+        # again per track (7 evaluations), these read 277 and 255.
+        poly, _, line, _ = _seed_215_setup()
+        for w, pinned in (((25.0, 1.0), 315), ((1.0, 1.0), 180)):
+            backend = CountingBackend(poly)
+            track_paths(backend, line, w)
+            assert backend.calls == pinned, w
