@@ -64,7 +64,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -113,8 +113,11 @@ def _emit(args, payload, text_lines=None, csv_rows=None) -> None:
         body = "\n".join(lines) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -306,11 +309,11 @@ def cmd_vertex(args) -> int:
         else:
             bounds = _load_bounds(args)
             try:
-                answer = ev.vertex_query(program, bounds, w, t=args.t, rng=rng)
-            except ev.NotGenericError as exc:
-                raise InputError(str(exc)) from exc
+                answer = ev.vertex_query(program, bounds, w, rng, t=args.t)
             except (ev.NoUniqueCandidateError, ev.EvaluationZeroError) as exc:
                 raise IndeterminateExit(str(exc)) from exc
+            except ValueError as exc:  # a non-generic direction or a bad --t
+                raise InputError(str(exc)) from exc
             h = sum(wi * bi for wi, bi in zip(w, answer.beta))
             record = {
                 "w": [str(x) for x in w],
@@ -381,7 +384,7 @@ def cmd_reconstruct(args) -> int:
         backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
         oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
         n = line.n
-    config = rc.ReconstructConfig(seed=args.seed, jobs=args.jobs)
+    config = rc.ReconstructConfig(seed=args.seed)
     try:
         report = rc.reconstruct(oracle, n, config)
     except rc.OracleExhausted as exc:
@@ -520,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--adaptive", action="store_true")
     p_rec.add_argument("--witness-config", dest="witness_config")
     p_rec.add_argument("--t-max", dest="t_max", type=float)
-    p_rec.add_argument("--jobs", type=int, default=1)
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_hull = sub.add_parser("hull", help="exact convex hull of integer points")

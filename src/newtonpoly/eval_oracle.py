@@ -56,8 +56,8 @@ class EvalBounds:
     superset: Tuple[Exponent, ...]
 
     def __post_init__(self):
-        if self.delta < 1 or self.lam < 1:
-            raise ValueError("delta and lambda must both be at least 1")
+        if not (1 <= self.delta < math.inf and 1 <= self.lam < math.inf):
+            raise ValueError("delta and lambda must both be finite and at least 1")
         if not self.superset:
             raise ValueError("the exponent superset must be nonempty")
         if len(set(self.superset)) != len(self.superset):
@@ -121,8 +121,8 @@ def vertex_query(
     f: Slp,
     bounds: EvalBounds,
     w: Sequence,
+    rng: random.Random,
     t: Optional[float] = None,
-    rng: Optional[random.Random] = None,
 ) -> VertexAnswer:
     """Identify the exposed vertex from one evaluation at a large stretch.
 
@@ -133,9 +133,8 @@ def vertex_query(
     gap = min_gap(bounds.superset, w)
     if t is None:
         t = 2.0 * threshold_t(bounds, gap)
-    elif math.log(t) * gap.d_w <= 0:
-        raise ValueError("stretch factor must exceed 1")
-    rng = rng or random.Random(0)
+    elif not 1 < t < math.inf:
+        raise ValueError(f"the stretch factor must be a finite number above 1, not {t}")
     w_float = [float(x) for x in w]
     log_t = math.log(t)
     x = [1.0 + 0.0j] * f.n
@@ -175,48 +174,34 @@ def group_generator(w: Sequence[Fraction]) -> Fraction:
     return Fraction(g, lcd)
 
 
-def support_estimate(
-    f: Slp,
-    w: Sequence,
-    x: Optional[Sequence[complex]] = None,
-    tau0: float = 4.0,
-    growth: float = 1.5,
-    max_steps: int = 200,
-    tol: Optional[float] = None,
-    rng: Optional[random.Random] = None,
-    retries: int = 2,
-) -> SupportEstimate:
+def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate:
     """Estimate the support value in direction w by monitoring log|f(e^{tau w}. x)| / tau.
 
-    The estimate converges like 1/tau to a multiple of the direction's group
-    generator; convergence is declared when three consecutive estimates round
-    to the same multiple with shrinking errors below ``tol``.
+    x is a random unit-modulus point and tau runs 4, 6, 9, ... (factor 1.5)
+    for at most 200 steps.  The estimate converges like 1/tau to a multiple
+    of the direction's group generator g; convergence is declared when three
+    consecutive estimates round to the same multiple with shrinking errors
+    below g/4.  A value of exactly zero retries at up to two fresh points.
     """
     if not all(isinstance(v, (int, Fraction)) for v in w):
         raise TypeError("support estimates need exact rational direction entries")
     w_vec = tuple(Fraction(v) for v in w)
     gen = group_generator(w_vec)
     gen_f = float(gen)
-    if tol is None:
-        tol = 0.25 * gen_f
-    rng = rng or random.Random(0)
+    tol = 0.25 * gen_f
     w_float = [float(v) for v in w_vec]
 
-    attempts = retries + 1
     samples: List[Tuple[float, float]] = []
-    for attempt in range(attempts):
-        if x is None or attempt > 0:
-            point = [
-                complex(math.cos(a), math.sin(a))
-                for a in (rng.uniform(0, 2 * math.pi) for _ in range(f.n))
-            ]
-        else:
-            point = [complex(v) for v in x]
+    for attempt in range(3):
+        point = [
+            complex(math.cos(a), math.sin(a))
+            for a in (rng.uniform(0, 2 * math.pi) for _ in range(f.n))
+        ]
         samples = []
         history: List[Tuple[int, float]] = []
-        tau = tau0
+        tau = 4.0
         failed = False
-        for _ in range(max_steps):
+        for _ in range(200):
             log_value = log_abs(evaluate(f, scaled_point(math.e, [wi * tau for wi in w_float], point)))
             if log_value == -math.inf:
                 failed = True
@@ -230,7 +215,7 @@ def support_estimate(
                 (m0, d0), (m1, d1), (m2, d2) = history[-3:]
                 if m0 == m1 == m2 and d0 >= d1 >= d2 and d2 < tol:
                     return SupportEstimate(w_vec, gen, tuple(samples), Fraction(m2) * gen)
-            tau *= growth
+            tau *= 1.5
         if not failed:
             break  # schedule exhausted without convergence; a new x will not help more
     raise NoConvergenceError(
@@ -259,14 +244,13 @@ def adaptive_superset(
     f: Slp,
     n: int,
     directions: Sequence[Sequence],
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
 ) -> Tuple[List[Exponent], List[Tuple[Tuple[Fraction, ...], Fraction]]]:
     """Lattice points of the region cut out by estimated support values.
 
     Returns the candidate exponents and the (direction, value) pairs that
     produced them; the true support is always contained in the candidates.
     """
-    rng = rng or random.Random(0)
     dir_vecs = [tuple(Fraction(v) for v in d) for d in directions]
     if any(len(d) != n for d in dir_vecs):
         raise ValueError(f"directions must have {n} entries")
@@ -285,12 +269,12 @@ def bounding_polytope(
     f: Slp,
     n: int,
     directions: Sequence[Sequence],
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
 ) -> LatticePolytope:
     """Hull of the integer points allowed by the estimated support cuts.
 
     The result contains the Newton polytope of f, and its lattice points form
     a valid candidate superset for deterministic vertex queries.
     """
-    points, _ = adaptive_superset(f, n, directions, rng=rng)
+    points, _ = adaptive_superset(f, n, directions, rng)
     return convex_hull(points)

@@ -12,9 +12,7 @@ for lower-dimensional polytopes, every affine-hull equality) is confirmed.
 from __future__ import annotations
 
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +36,10 @@ class OracleExhausted(RuntimeError):
     """No certified answers at all; nothing to reconstruct from."""
 
 
+# entries of random directions and of facet-normal tilts are drawn from [-5, 5]
+DIRECTION_BOUND = 5
+
+
 # ---------------------------------------------------------------------------
 # oracle adapters
 
@@ -52,12 +54,12 @@ class EvalVertexOracle:
 
     kind = "eval"
 
-    def __init__(self, slp: Slp, n: int, superset: Sequence[Exponent], bounds=None, rng=None):
+    def __init__(self, slp: Slp, n: int, superset: Sequence[Exponent], rng: random.Random, bounds=None):
         self.slp = slp
         self.n = n
         self.superset = [tuple(p) for p in superset]
         self.bounds = bounds
-        self.rng = rng or random.Random(0)
+        self.rng = rng
         self.coord_bound = max(1, max((max(p) for p in self.superset), default=1))
         self._candidates = CutFilter(np.asarray(self.superset).T)
         # candidates still compatible with every support cut seen so far;
@@ -65,25 +67,18 @@ class EvalVertexOracle:
         self._live = np.ones(len(self.superset), dtype=bool)
         self._cache: Dict[Tuple, Point] = {}
         self._support_cache: Dict[Tuple, Fraction] = {}
-        self._lock = threading.Lock()  # pruning must not race under --jobs
 
     @classmethod
-    def from_bounds(cls, slp: Slp, bounds: ev.EvalBounds, rng=None) -> "EvalVertexOracle":
+    def from_bounds(cls, slp: Slp, bounds: ev.EvalBounds, rng: random.Random) -> "EvalVertexOracle":
         n = len(bounds.superset[0])
-        return cls(slp, n, bounds.superset, bounds=bounds, rng=rng)
+        return cls(slp, n, bounds.superset, rng, bounds=bounds)
 
     @classmethod
-    def adaptive(
-        cls,
-        slp: Slp,
-        n: int,
-        directions: Optional[Sequence[Sequence[int]]] = None,
-        rng=None,
-    ) -> "EvalVertexOracle":
-        if directions is None:
-            directions = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        superset, _ = ev.adaptive_superset(slp, n, directions, rng=rng)
-        return cls(slp, n, superset, bounds=None, rng=rng)
+    def adaptive(cls, slp: Slp, n: int, rng: random.Random) -> "EvalVertexOracle":
+        """Candidates cut out by support estimates along the coordinate axes."""
+        axes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        superset, _ = ev.adaptive_superset(slp, n, axes, rng)
+        return cls(slp, n, superset, rng)
 
     def query(self, w: Sequence) -> Point:
         key = tuple(Fraction(x) for x in w)
@@ -120,9 +115,8 @@ class EvalVertexOracle:
             est = ev.support_estimate(self.slp, key, rng=self.rng)
         except ev.NoConvergenceError as exc:
             raise OracleIndeterminate(str(exc)) from exc
-        with self._lock:
-            self._support_cache[key] = est.h_value
-            self._live &= self._candidates.keep([(key, est.h_value, False)])
+        self._support_cache[key] = est.h_value
+        self._live &= self._candidates.keep([(key, est.h_value, False)])
         return est.h_value
 
 
@@ -136,15 +130,13 @@ class WitnessVertexOracle:
         backend,
         line: wo.WitnessLine,
         consts: wo.LineConstants,
-        config: Optional[wo.WitnessConfig] = None,
+        config: wo.WitnessConfig,
     ):
         self.backend = backend
         self.line = line
         self.consts = consts
-        base = config or wo.WitnessConfig()
         # the reconstruction driver does its own (cone-safe) retries
-        base.retries = 0
-        self.config = base
+        self.config = replace(config, retries=0)
         self.n = line.n
         self.coord_bound = max(1, line.degree)
         self._cache: Dict[Tuple, Point] = {}
@@ -180,18 +172,18 @@ def random_direction(
     bound: int,
     rng: random.Random,
     candidates: Optional[Sequence[Point]] = None,
-    max_attempts: int = 256,
 ) -> Tuple[int, ...]:
     """Nonzero integer direction, redrawn until it separates the candidates.
 
     Small candidate sets get full pairwise separation; for sets too large for
     any bounded integer vector to separate (pigeonhole), a unique maximizer
-    and minimizer are required instead.  The bound doubles on repeated failure.
+    and minimizer are required instead.  The bound doubles every 32 draws;
+    after 256 draws the direction is indeterminate.
     """
     if bound < 1:
         raise ValueError("direction bound must be at least 1")
     full_check = candidates is not None and len(candidates) <= 2048
-    for attempt in range(max_attempts):
+    for attempt in range(256):
         if attempt and attempt % 32 == 0:
             bound *= 2
         w = tuple(rng.randint(-bound, bound) for _ in range(n))
@@ -206,7 +198,7 @@ def random_direction(
         else:
             if dots[0] != dots[1] and dots[-1] != dots[-2]:
                 return w
-    raise OracleIndeterminate(f"no separating direction found in {max_attempts} draws")
+    raise OracleIndeterminate("no separating direction found in 256 draws")
 
 
 def facet_query_direction(
@@ -236,10 +228,13 @@ def facet_query_direction(
 @dataclass
 class ReconstructConfig:
     seed: int = 0
-    seed_budget: Optional[int] = None  # default 8 n certified queries
-    direction_bound: int = 5
     facet_retries: int = 4
+    # facets are probed one after another; 1 is the only accepted value
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1 (got {self.jobs}): facets are probed sequentially")
 
 
 @dataclass
@@ -264,22 +259,25 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
     """
     cfg = config or ReconstructConfig()
     rng = random.Random(cfg.seed)
-    budget = cfg.seed_budget if cfg.seed_budget is not None else 8 * n
+    # the seed phase stops after this many certified answers without a rank gain
+    budget = 8 * n
 
     confirmed: set = set()
     log: List[Tuple[Tuple[float, ...], str]] = []
     counters = {"queries": 0, "indeterminate": 0}
 
-    def ask(w) -> Optional[Point]:
+    def ask(w, support: bool = False):
+        """One counted, logged oracle call: the vertex (or, with ``support``,
+        the support value) for w, or None when the oracle is indeterminate."""
         counters["queries"] += 1
         try:
-            beta = oracle.query(tuple(w))
+            answer = oracle.support(tuple(w)) if support else oracle.query(tuple(w))
         except OracleIndeterminate:
             counters["indeterminate"] += 1
             log.append((tuple(float(x) for x in w), "indeterminate"))
             return None
-        log.append((tuple(float(x) for x in w), f"vertex {beta}"))
-        return beta
+        log.append((tuple(float(x) for x in w), f"{'support' if support else 'vertex'} {answer}"))
+        return answer
 
     def affine_rank(points) -> int:
         base, *rest = points
@@ -290,8 +288,8 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
     for i in range(n):
         unit = tuple(1 if j == i else 0 for j in range(n))
         neg = tuple(-1 if j == i else 0 for j in range(n))
-        seed_dirs.append(facet_query_direction(unit, oracle.coord_bound, cfg.direction_bound, rng))
-        seed_dirs.append(facet_query_direction(neg, oracle.coord_bound, cfg.direction_bound, rng))
+        seed_dirs.append(facet_query_direction(unit, oracle.coord_bound, DIRECTION_BOUND, rng))
+        seed_dirs.append(facet_query_direction(neg, oracle.coord_bound, DIRECTION_BOUND, rng))
     stable = 0
     rank = 0
     attempts = 0
@@ -302,7 +300,7 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
             w = seed_dirs.pop(0)
         else:
             try:
-                w = random_direction(n, cfg.direction_bound, rng, candidates=list(confirmed) or None)
+                w = random_direction(n, DIRECTION_BOUND, rng, candidates=list(confirmed) or None)
             except OracleIndeterminate:
                 break
         before = len(confirmed)
@@ -323,95 +321,59 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         raise OracleExhausted("the oracle certified no direction at all")
 
     # ---- facet confirmation loop
+    has_support = getattr(oracle, "support", None) is not None
     confirmed_planes: set = set()
     unconfirmed: List[Tuple[Point, int]] = []
     hull = convex_hull(confirmed)
     while True:
-        tasks = []  # (plane key, normal, offset)
-        for f in hull.facets:
-            if (f.normal, f.offset) not in confirmed_planes:
-                tasks.append(((f.normal, f.offset), f.normal, f.offset))
+        planes = [(f.normal, f.offset) for f in hull.facets]
         for normal, offset in hull.equalities:
-            for side_normal, side_offset in (
-                (normal, offset),
-                (tuple(-x for x in normal), -offset),
-            ):
-                if (side_normal, side_offset) not in confirmed_planes:
-                    tasks.append(((side_normal, side_offset), side_normal, side_offset))
-        if not tasks:
+            planes += [(normal, offset), (tuple(-x for x in normal), -offset)]
+        planes = [plane for plane in planes if plane not in confirmed_planes]
+        if not planes:
             unconfirmed = []
             break
 
-        # pre-draw perturbations so parallel execution stays deterministic
-        prepared = []
-        for key, normal, offset in tasks:
-            dirs = [
-                facet_query_direction(normal, oracle.coord_bound, cfg.direction_bound, rng)
-                for _ in range(cfg.facet_retries)
-            ]
-            prepared.append((key, normal, offset, dirs))
-
-        has_support = getattr(oracle, "support", None) is not None
-
-        def probe(task):
-            key, normal, offset, dirs = task
-            sublog: List[Tuple[Tuple[float, ...], str]] = []
-            if has_support:
-                # a support value settles the facet without a unique vertex
-                try:
-                    h = oracle.support(tuple(Fraction(u) for u in normal))
-                    sublog.append((tuple(float(u) for u in normal), f"support {h}"))
-                    if h == offset:
-                        return key, normal, offset, "confirm", None, sublog
-                    if h < offset:
-                        return key, normal, offset, "inconsistent", None, sublog
-                except OracleIndeterminate:
-                    sublog.append((tuple(float(u) for u in normal), "indeterminate"))
-            for w in dirs:
-                try:
-                    beta = oracle.query(tuple(w))
-                    sublog.append((tuple(float(x) for x in w), f"vertex {beta}"))
-                    return key, normal, offset, "vertex", beta, sublog
-                except OracleIndeterminate:
-                    sublog.append((tuple(float(x) for x in w), "indeterminate"))
-            return key, normal, offset, "fail", None, sublog
-
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(probe, prepared))
-        else:
-            results = [probe(task) for task in prepared]
-
         inserted = False
         round_unconfirmed = []
-        for key, normal, offset, outcome, beta, sublog in results:
-            for entry in sublog:
-                counters["queries"] += 1
-                if entry[1] == "indeterminate":
-                    counters["indeterminate"] += 1
-            log.extend(sublog)
-            if outcome == "confirm":
-                confirmed_planes.add(key)
-            elif outcome == "inconsistent":
-                raise OracleInconsistent(
-                    f"support value below hull facet {normal} . x <= {offset}"
-                )
-            elif outcome == "fail":
-                round_unconfirmed.append(key)
-            else:
-                value = sum(u * b for u, b in zip(normal, beta))
-                if value > offset:
-                    if beta not in confirmed:
-                        confirmed.add(beta)
-                        inserted = True
-                    else:
-                        round_unconfirmed.append(key)
-                elif value == offset:
-                    confirmed_planes.add(key)
-                else:
+        for plane in planes:
+            normal, offset = plane
+            # all of a plane's perturbed directions are drawn before its first query
+            dirs = [
+                facet_query_direction(normal, oracle.coord_bound, DIRECTION_BOUND, rng)
+                for _ in range(cfg.facet_retries)
+            ]
+            if has_support:
+                # a support value settles the facet without a unique vertex
+                h = ask(normal, support=True)
+                if h == offset:
+                    confirmed_planes.add(plane)
+                    continue
+                if h is not None and h < offset:
                     raise OracleInconsistent(
-                        f"oracle answer {beta} lies strictly inside facet {normal} . x <= {offset}"
+                        f"support value below hull facet {normal} . x <= {offset}"
                     )
+            beta = None
+            for w in dirs:
+                beta = ask(w)
+                if beta is not None:
+                    break
+            if beta is None:
+                round_unconfirmed.append(plane)
+                continue
+            value = sum(u * b for u, b in zip(normal, beta))
+            if value > offset:
+                if beta not in confirmed:
+                    confirmed.add(beta)
+                    inserted = True
+                else:
+                    round_unconfirmed.append(plane)
+            elif value == offset:
+                confirmed_planes.add(plane)
+            else:
+                raise OracleInconsistent(
+                    f"oracle answer {beta} lies strictly inside facet {normal} . x <= {offset}"
+                )
         if inserted:
             hull = convex_hull(confirmed)
             continue
@@ -442,16 +404,13 @@ class VerificationReport:
         return not self.discrepancies
 
 
-def verify(
-    P: LatticePolytope, oracle, k: int, rng: Optional[random.Random] = None
-) -> VerificationReport:
+def verify(P: LatticePolytope, oracle, k: int, rng: random.Random) -> VerificationReport:
     """Spot-check a reconstructed polytope with k extra random directions."""
-    rng = rng or random.Random(0)
     vertex_set = set(P.vertices)
     discrepancies = []
     indeterminate = 0
     for _ in range(k):
-        w = random_direction(P.n, 5, rng, candidates=P.vertices)
+        w = random_direction(P.n, DIRECTION_BOUND, rng, candidates=P.vertices)
         try:
             beta = oracle.query(tuple(w))
         except OracleIndeterminate:

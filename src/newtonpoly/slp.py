@@ -195,6 +195,21 @@ class Slp:
                 ops.append((ins[0] == "mul", slot[ins[1]], slot[ins[2]]))
         return tuple(consts), tuple(ops), slot[self.output]
 
+    @cached_property
+    def degree(self) -> int:
+        """Formal degree of the program (the total degree for ``sparse_to_slp`` output)."""
+        degs: list = []
+        for ins in self.instructions:
+            if ins[0] == "in":
+                degs.append(1)
+            elif ins[0] == "const":
+                degs.append(0)
+            elif ins[0] == "add":
+                degs.append(max(degs[ins[1]], degs[ins[2]]))
+            else:
+                degs.append(degs[ins[1]] + degs[ins[2]])
+        return degs[self.output]
+
 
 def parse_slp(text: str) -> Slp:
     """Parse the line-per-register format (``in J``, ``const C``, ``add rJ rK``, ``mul rJ rK``).

@@ -81,20 +81,6 @@ class SlpLineBackend:
         self.slp = slp
         self.n = slp.n
 
-    def degree_bound(self) -> int:
-        """Formal degree of the program (the total degree for ``sparse_to_slp`` output)."""
-        degs: List[int] = []
-        for ins in self.slp.instructions:
-            if ins[0] == "in":
-                degs.append(1)
-            elif ins[0] == "const":
-                degs.append(0)
-            elif ins[0] == "add":
-                degs.append(max(degs[ins[1]], degs[ins[2]]))
-            else:
-                degs.append(degs[ins[1]] + degs[ins[2]])
-        return degs[self.slp.output]
-
     def eval_ds(self, line: "WitnessLine", s: complex, t: float, w: Sequence[float]):
         """(f, df/ds) at the line point for parameter s, as kernel pairs."""
         log2t = math.log2(t)
@@ -146,19 +132,18 @@ class LineConstants:
 
 def make_line(
     n: int,
-    rng,
+    rng: random.Random,
     backend,
     a: Optional[Sequence[complex]] = None,
     b: Optional[Sequence[complex]] = None,
     degree: Optional[int] = None,
-    max_attempts: int = 5,
 ) -> WitnessLine:
     """Draw (or validate) a generic line: nonzero direction entries, separated
     anchor ratios, and distinct simple intersection points at t = 1, which
-    the returned line keeps as its witness points."""
-    rng = random.Random(rng) if isinstance(rng, int) else rng
+    the returned line keeps as its witness points.  A drawn line is redrawn
+    up to four times; a given line (a, b) is checked once."""
     fixed = a is not None
-    attempts = 1 if fixed else max_attempts
+    attempts = 1 if fixed else 5
     last = "no attempt made"
     for _ in range(attempts):
         if fixed:
@@ -225,7 +210,7 @@ def initial_roots(backend, line: WitnessLine, degree_hint: Optional[int] = None)
     unity (confirmed on a second circle), then all roots are found at once by
     simultaneous Aberth iteration.
     """
-    cap = backend.degree_bound()
+    cap = backend.slp.degree
     if degree_hint is not None and degree_hint > cap:
         cap = degree_hint
     if cap == 0:
@@ -288,8 +273,8 @@ def _horner_pair(coeffs: Sequence[complex], z: complex) -> Tuple[complex, comple
     return acc, dacc
 
 
-def _aberth(coeffs: Sequence[complex], max_iter: int = 200) -> List[complex]:
-    """Simultaneous root refinement; all roots converge together."""
+def _aberth(coeffs: Sequence[complex]) -> List[complex]:
+    """Simultaneous root refinement, at most 200 sweeps; all roots converge together."""
     deg = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
@@ -299,7 +284,7 @@ def _aberth(coeffs: Sequence[complex], max_iter: int = 200) -> List[complex]:
     z = [
         radius * cmath.exp(2j * math.pi * (k + 0.37) / deg) for k in range(deg)
     ]
-    for _ in range(max_iter):
+    for _ in range(200):
         moved = 0.0
         for k in range(deg):
             p, dp = _horner_pair(monic, z[k])
@@ -474,7 +459,7 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
     # with no slope estimate yet the first substep must be small enough that
     # no root can outrun its tracker: root log-velocities scale like the
     # largest dot product of w with the exponents
-    dynamic_scale = sum(abs(x) for x in w_vec) * max(1, backend.degree_bound())
+    dynamic_scale = sum(abs(x) for x in w_vec) * max(1, backend.slp.degree)
     first_cap = min(LN2, 0.25 / (1.0 + dynamic_scale))
 
     position = math.log(schedule[0])
@@ -720,19 +705,18 @@ def fitted_rate_params(
     line: WitnessLine,
     consts: LineConstants,
     C: Optional[float] = None,
-    n_terms: Optional[int] = None,
 ) -> RateParams:
     """Certification parameters when nothing is known about the coefficients.
 
     The decay/growth exponents are fitted from the tracked samples (with a
     safety margin), so the subexponential behaviour itself is what gets
-    certified; C defaults to 10.
+    certified; C defaults to 10, and the term count is that of a dense
+    polynomial of the line's degree.
     """
     if C is None:
         warnings.warn("no coefficient-ratio bound supplied; defaulting to C = 10")
         C = 10.0
-    if n_terms is None:
-        n_terms = math.comb(line.n + cert.degree, cert.degree)
+    n_terms = math.comb(line.n + cert.degree, cert.degree)
     slopes = _aggregate_slopes(paths, cert, line)
     conv_fits = [-s for key, s in slopes.items() if key != "diverging" and s is not None]
     div_fit = slopes.get("diverging")
@@ -814,10 +798,9 @@ def verify_rates(
     line: WitnessLine,
     w: Sequence[float],
     rates: RateParams,
-    slope_tolerance: float = 0.10,
 ) -> VertexCertificate:
     """Check the subexponential bounds at every sample past entry, and that
-    fitted log-log slopes match the expected decay/growth rates."""
+    fitted log-log slopes match the expected decay/growth rates to 10%."""
     ratios = line.ratios()
     beta = cert.beta
     total = sum(beta)
@@ -863,7 +846,7 @@ def verify_rates(
                 expected = -expected if expected is not None else None
             if expected is None or expected == 0:
                 continue
-            if abs(slope - expected) > slope_tolerance * abs(expected):
+            if abs(slope - expected) > 0.10 * abs(expected):
                 slopes_ok = False
     if not slopes_ok:
         raise RateViolationError("observed slopes disagree with the expected rates")
@@ -879,15 +862,13 @@ def verify_rates(
 # ---------------------------------------------------------------------------
 # the composed query
 
-@dataclass
+@dataclass(kw_only=True)
 class WitnessConfig:
+    rng: random.Random  # draws the perturbation of a direction that is retried
     t_max: float = 1e8
-    record_at: Tuple[float, ...] = ()
     retries: int = 3
-    rng: Optional[random.Random] = None
     rate_source: Optional[Callable] = None  # w -> RateParams
     C: Optional[float] = None
-    n_terms: Optional[int] = None
 
 
 def witness_vertex_query(
@@ -895,33 +876,27 @@ def witness_vertex_query(
     line: WitnessLine,
     consts: LineConstants,
     w: Sequence,
-    config: Optional[WitnessConfig] = None,
+    config: WitnessConfig,
 ) -> VertexCertificate:
     """Track, classify, and certify one direction; perturb and retry when the
     direction turns out not to be general enough."""
-    config = config or WitnessConfig()
-    rng = config.rng or random.Random(1)
     w_cur = list(w)
     last: Optional[Exception] = None
     for attempt in range(config.retries + 1):
         try:
-            paths = track_paths(
-                backend, line, [float(x) for x in w_cur], config.t_max, config.record_at
-            )
+            paths = track_paths(backend, line, [float(x) for x in w_cur], config.t_max)
             paths, cert = classify_paths(paths, line, consts)
             if config.rate_source is not None:
                 rates = config.rate_source(w_cur)
             else:
-                rates = fitted_rate_params(
-                    paths, cert, line, consts, C=config.C, n_terms=config.n_terms
-                )
+                rates = fitted_rate_params(paths, cert, line, consts, C=config.C)
             return verify_rates(paths, cert, consts, line, w_cur, rates)
         except (IndeterminateError, RateViolationError, PathCrossingError) as exc:
             last = exc
             exact = all(isinstance(x, (int, Fraction)) for x in w_cur)
-            bump = [rng.choice((-1, 0, 1)) for _ in range(line.n)]
+            bump = [config.rng.choice((-1, 0, 1)) for _ in range(line.n)]
             if not any(bump):
-                bump[rng.randrange(line.n)] = 1
+                bump[config.rng.randrange(line.n)] = 1
             if exact:
                 w_cur = [Fraction(x) + Fraction(r, 8) for x, r in zip(w_cur, bump)]
             else:

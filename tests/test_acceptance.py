@@ -56,7 +56,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 def quad_tracking(quad_poly):
     """Tracked and certified paths for the worked quadratic example, both directions."""
     backend = SlpLineBackend(sparse_to_slp(quad_poly))
-    line = make_line(2, 0, SparseLineBackend(quad_poly), a=QUAD_LINE_A, b=QUAD_LINE_B)
+    line = make_line(2, random.Random(0), SparseLineBackend(quad_poly), a=QUAD_LINE_A, b=QUAD_LINE_B)
     consts = line_constants(line, C=5.0)
     results = {}
     for key, w in (("up", (1.0, 1.0)), ("down", (-1.0, -1.0))):
@@ -101,6 +101,7 @@ def corpus_runs():
             continue
         consts = line_constants(line, C=float(math.exp(3)))
         config = WitnessConfig(
+            rng=random.Random(1),
             rate_source=lambda w, p=poly, c=consts: rate_params_from_sparse(
                 p, [float(x) for x in w], c
             )
@@ -126,8 +127,8 @@ class TestCriterion1:
         superset = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
         bounds = EvalBounds(2.0, 2.0, superset)
         w = (Fraction(-6, 5), Fraction(2, 5), Fraction(37, 10))
-        plus = vertex_query(program, bounds, w, t=45.0)
-        minus = vertex_query(program, bounds, tuple(-x for x in w), t=45.0)
+        plus = vertex_query(program, bounds, w, random.Random(0), t=45.0)
+        minus = vertex_query(program, bounds, tuple(-x for x in w), random.Random(0), t=45.0)
         elapsed = time.perf_counter() - start
         ok = (
             abs(plus.ratio - 2.864) <= 0.005
@@ -227,7 +228,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_delta_reconstruction(self, f1_poly):
         start = time.perf_counter()
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6, random.Random(0))
         result = reconstruct(oracle, 6)
         delta = result.polytope
         iso, _ = affinely_isomorphic(delta, convex_hull(BIPYRAMID))
@@ -253,7 +254,7 @@ class TestCriterion5:
         start = time.perf_counter()
         delta = convex_hull(f1_poly.support())
         d4 = dilate(delta, 4)
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f5_poly), 6)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f5_poly), 6, random.Random(0))
         result = reconstruct(oracle, 6)
         points = lattice_points(d4)
         elapsed = time.perf_counter() - start
@@ -287,7 +288,7 @@ class TestCriterion6:
                 continue
             bounds = EvalBounds(2.0, 3.0, superset)
             t = 2.0 * threshold_t(bounds, gap)
-            answer = vertex_query(sparse_to_slp(poly), bounds, w, t=t)
+            answer = vertex_query(sparse_to_slp(poly), bounds, w, random.Random(0), t=t)
             dots = [sum(wi * a for wi, a in zip(w, alpha)) for alpha in support]
             argmax = support[dots.index(max(dots))]
             w_beta = sum(wi * b for wi, b in zip(w, answer.beta))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from newtonpoly import witness_oracle as wo
-from newtonpoly.cli import build_parser, main
+from newtonpoly.cli import main
+from newtonpoly.reconstruct import ReconstructConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
 
@@ -212,6 +214,13 @@ def _quad_config(**changes) -> dict:
 
 
 WITNESS_VERTEX = ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"]
+DISC_VERTEX = [
+    "vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"),
+    "--superset", str(FIXTURES / "disc_superset.pts"), "--w", "7,3,2",
+]
+DISC_RECONSTRUCT = [
+    "reconstruct", "--sparse", str(FIXTURES / "disc.poly"), "--superset", str(FIXTURES / "disc_superset.pts"),
+]
 
 BAD_INPUTS = {
     "superset-rational-entry": (
@@ -259,14 +268,28 @@ BAD_INPUTS = {
         {},
         ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "f1.poly"), "--w", "0,0,0,0,0,0"],
     ),
+    "vertex-t-below-1": ({}, DISC_VERTEX + ["--t", "0.5"]),
+    "vertex-t-zero": ({}, DISC_VERTEX + ["--t", "0"]),
+    "vertex-t-negative": ({}, DISC_VERTEX + ["--t", "-1"]),
+    "vertex-t-nan": ({}, DISC_VERTEX + ["--t", "nan"]),
+    "vertex-t-inf": ({}, DISC_VERTEX + ["--t", "inf"]),
+    "vertex-delta-inf": ({}, DISC_VERTEX + ["--delta", "inf"]),
+    "vertex-delta-nan": ({}, DISC_VERTEX + ["--delta", "nan"]),
+    "reconstruct-lambda-inf": ({}, DISC_RECONSTRUCT + ["--lambda", "inf"]),
+    "reconstruct-lambda-nan": ({}, DISC_RECONSTRUCT + ["--lambda", "nan"]),
+    "support-input-not-utf8": ({"f.poly": b"\xff\xfe1 : 1\n"}, ["support", "--sparse", "f.poly", "--w", "1"]),
+    "out-into-missing-directory": ({"p.pts": "1 2\n"}, ["hull", "--points", "p.pts", "--out", "missing/out.json"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
     files, args = BAD_INPUTS[name]
-    for file_name, text in files.items():
-        (tmp_path / file_name).write_text(text)
+    for file_name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / file_name).write_bytes(content)
+        else:
+            (tmp_path / file_name).write_text(content)
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(args, capsys)
     assert code == 2 and err.startswith("error:")
@@ -316,13 +339,35 @@ class TestReconstruct:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0 and out1 == out2
 
-    def test_jobs_defaults_to_one(self, capsys):
-        # threads share the oracle's generator, so only one job fixes the output
+    # sha256 of the JSON these runs printed while facets could still be probed
+    # on a thread pool: the sequential loop draws and queries in the same order
+    def test_f1_adaptive_bytes_are_pinned(self, capsys):
         args = ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--seed", "12"]
-        assert build_parser().parse_args(args).jobs == 1
-        code1, out1, _ = run_cli(args, capsys)
-        code2, out2, _ = run_cli(args + ["--jobs", "1"], capsys)
-        assert code1 == code2 == 0 and out1 == out2
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9328f747cfec659b01c2656beb103c0420c14f5197fc37897a8d013881ea5bb0"
+        )
+
+    def test_witness_bytes_are_pinned(self, capsys):
+        config = str(FIXTURES / "quad_witness.json")
+        args = ["reconstruct", "--backend", "witness", "--witness-config", config, "--seed", "3"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3885da1191b287de2657042d781a786ea1006bc7d6570a0b6f0c81748ea6c2a6"
+        )
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_config_rejects_more_than_one_job(self):
+        assert ReconstructConfig(jobs=1).jobs == 1
+        with pytest.raises(ValueError, match="jobs"):
+            ReconstructConfig(jobs=2)
 
 
 class TestPolytopeCommands:

@@ -2,6 +2,7 @@
 the adaptive eval oracle, checked against the plain Python loops it replaced."""
 
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -85,11 +86,11 @@ def test_adaptive_candidates_match_reference(system):
     n, directions, values = system
     estimates = iter(values)
 
-    def fake_estimate(f, w, rng=None):
+    def fake_estimate(f, w, rng):
         return ev.SupportEstimate(tuple(w), Fraction(1), (), next(estimates))
 
     with mock.patch.object(ev, "support_estimate", fake_estimate):
-        points, cuts = ev.adaptive_superset(None, n, directions)
+        points, cuts = ev.adaptive_superset(None, n, directions, random.Random(0))
     his = ev._box_bounds([d for d, _ in cuts], [h for _, h in cuts], n)
     assert points == reference_candidates(his, cuts)
 
@@ -103,8 +104,8 @@ def test_large_lattice_points_need_python_integers():
 def test_oracle_hit_test_is_exact_for_negative_candidates():
     # 2^23 * -2^41 = -2^64 wraps to 0 in int64, which would tie the origin
     superset = [(-(2**41), 0), (0, 0)]
-    oracle = EvalVertexOracle(None, 2, superset)
+    oracle = EvalVertexOracle(None, 2, superset, random.Random(0))
     w = (2**23, 0)
-    fake = lambda f, key, rng=None: ev.SupportEstimate(key, Fraction(1), (), Fraction(0))  # noqa: E731
+    fake = lambda f, key, rng: ev.SupportEstimate(key, Fraction(1), (), Fraction(0))  # noqa: E731
     with mock.patch.object(ev, "support_estimate", fake):
         assert oracle.query(w) == (0, 0)

@@ -72,10 +72,10 @@ class TestVertexQuery:
     def test_discriminant_both_directions(self, disc_poly):
         program = sparse_to_slp(disc_poly)
         bounds = EvalBounds(2.0, 2.0, QUADRIC_SUPERSET)
-        answer = vertex_query(program, bounds, W_EXAMPLE, t=45.0)
+        answer = vertex_query(program, bounds, W_EXAMPLE, random.Random(0), t=45.0)
         assert answer.beta == (1, 0, 1)
         assert answer.ratio == pytest.approx(2.864, abs=0.005)
-        neg = vertex_query(program, bounds, tuple(-x for x in W_EXAMPLE), t=45.0)
+        neg = vertex_query(program, bounds, tuple(-x for x in W_EXAMPLE), random.Random(0), t=45.0)
         assert neg.beta == (0, 2, 0)
         assert -neg.ratio == pytest.approx(0.8016, abs=0.005)
 
@@ -83,13 +83,13 @@ class TestVertexQuery:
         poly = SparsePolynomial.from_terms(2, [(3, (2, 5))])
         program = sparse_to_slp(poly)
         bounds = EvalBounds(2.0, 2.0, ((2, 5), (0, 0), (1, 1)))
-        answer = vertex_query(program, bounds, (Fraction(3), Fraction(-2)))
+        answer = vertex_query(program, bounds, (Fraction(3), Fraction(-2)), random.Random(0))
         assert answer.beta == (2, 5)
 
     def test_default_t_uses_threshold(self, disc_poly):
         program = sparse_to_slp(disc_poly)
         bounds = EvalBounds(2.0, 2.0, QUADRIC_SUPERSET)
-        answer = vertex_query(program, bounds, W_EXAMPLE)
+        answer = vertex_query(program, bounds, W_EXAMPLE, random.Random(0))
         gap = min_gap(QUADRIC_SUPERSET, W_EXAMPLE)
         assert answer.t == pytest.approx(2 * threshold_t(bounds, gap))
         assert answer.beta == (1, 0, 1)
@@ -97,29 +97,29 @@ class TestVertexQuery:
 
 class TestSupportEstimate:
     def test_discriminant(self, disc_poly):
-        est = support_estimate(sparse_to_slp(disc_poly), (1, 0, 1))
+        est = support_estimate(sparse_to_slp(disc_poly), (1, 0, 1), random.Random(0))
         assert est.h_value == 2 and est.group_gen == 1
 
     def test_single_term_converges_to_dot(self):
         poly = SparsePolynomial.from_terms(2, [(7, (3, 4))])
-        est = support_estimate(sparse_to_slp(poly), (2, 1))
+        est = support_estimate(sparse_to_slp(poly), (2, 1), random.Random(0))
         assert est.h_value == 10
         # estimates approach from the log|c| offset: h + log(7)/tau
         tau0, first = est.samples[0]
         assert first == pytest.approx(10 + math.log(7) / tau0, rel=1e-6)
 
     def test_quadratic(self, quad_poly):
-        est = support_estimate(sparse_to_slp(quad_poly), (1, 1))
+        est = support_estimate(sparse_to_slp(quad_poly), (1, 1), random.Random(0))
         assert est.h_value == 2
 
     def test_rational_direction_group(self, quad_poly):
-        est = support_estimate(sparse_to_slp(quad_poly), (Fraction(1, 2), Fraction(1, 3)))
+        est = support_estimate(sparse_to_slp(quad_poly), (Fraction(1, 2), Fraction(1, 3)), random.Random(0))
         assert est.group_gen == Fraction(1, 6)
         assert est.h_value == 1  # attained by x^2
 
     def test_rejects_float_direction(self, quad_poly):
         with pytest.raises(TypeError):
-            support_estimate(sparse_to_slp(quad_poly), (1.5, 2.5))
+            support_estimate(sparse_to_slp(quad_poly), (1.5, 2.5), random.Random(0))
 
     def test_matches_brute_force_on_corpus(self):
         rng = random.Random(3)
@@ -148,7 +148,7 @@ class TestGroupGenerator:
 
 class TestBoundingPolytope:
     def test_discriminant_box(self, disc_poly):
-        P = bounding_polytope(sparse_to_slp(disc_poly), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        P = bounding_polytope(sparse_to_slp(disc_poly), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], random.Random(0))
         assert len(lattice_points(P)) == 12
         assert set(P.vertices) == {
             (a, b, c) for a in (0, 1) for b in (0, 2) for c in (0, 1)
@@ -156,22 +156,22 @@ class TestBoundingPolytope:
 
     def test_constant_polynomial(self):
         poly = SparsePolynomial.from_terms(2, [(5, (0, 0))])
-        P = bounding_polytope(sparse_to_slp(poly), 2, [(1, 0), (0, 1)])
+        P = bounding_polytope(sparse_to_slp(poly), 2, [(1, 0), (0, 1)], random.Random(0))
         assert P.vertices == ((0, 0),)
 
     def test_quadratic_box(self, quad_poly):
-        P = bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0), (0, 1)])
+        P = bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0), (0, 1)], random.Random(0))
         assert len(lattice_points(P)) == 6
 
     def test_unbounded_reported(self, quad_poly):
         with pytest.raises(UnboundedError):
-            bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0)])
+            bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0)], random.Random(0))
 
     def test_more_directions_shrink(self, disc_poly):
         program = sparse_to_slp(disc_poly)
         axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        loose, _ = adaptive_superset(program, 3, axes)
-        tight, _ = adaptive_superset(program, 3, axes + [(1, 1, 1)])
+        loose, _ = adaptive_superset(program, 3, axes, random.Random(0))
+        tight, _ = adaptive_superset(program, 3, axes + [(1, 1, 1)], random.Random(0))
         assert set(tight) <= set(loose)
 
 
@@ -196,7 +196,7 @@ class TestSoundness:
                 continue
             bounds = EvalBounds(2.0, 3.0, superset)
             t = 2.0 * threshold_t(bounds, gap)
-            answer = vertex_query(program, bounds, w, t=t)
+            answer = vertex_query(program, bounds, w, random.Random(0), t=t)
             dots = [sum(wi * a for wi, a in zip(w, alpha)) for alpha in support]
             argmax = support[dots.index(max(dots))]
             assert answer.beta == argmax

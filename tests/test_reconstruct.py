@@ -75,14 +75,14 @@ class TestFacetDirection:
 
 class TestEvalReconstruction:
     def test_discriminant_segment(self, disc_poly):
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(disc_poly), 3)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(disc_poly), 3, random.Random(0))
         report = reconstruct(oracle, 3)
         assert report.complete
         assert report.polytope.vertices == ((0, 2, 0), (1, 0, 1))
         assert report.polytope.dim == 1
 
     def test_f1_bipyramid(self, f1_poly):
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6, random.Random(0))
         report = reconstruct(oracle, 6)
         assert report.complete
         assert set(report.polytope.vertices) == set(f1_poly.support())
@@ -90,14 +90,14 @@ class TestEvalReconstruction:
 
     def test_monomial_gives_point(self):
         poly = SparsePolynomial.from_terms(2, [(3, (2, 1))])
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), 2)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), 2, random.Random(0))
         report = reconstruct(oracle, 2)
         assert report.complete and report.polytope.vertices == ((2, 1),)
 
     def test_bounds_mode(self, disc_poly):
         superset = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
         bounds = EvalBounds(2.0, 2.0, superset)
-        oracle = EvalVertexOracle.from_bounds(sparse_to_slp(disc_poly), bounds)
+        oracle = EvalVertexOracle.from_bounds(sparse_to_slp(disc_poly), bounds, random.Random(0))
         report = reconstruct(oracle, 3)
         assert report.complete
         assert report.polytope.vertices == ((0, 2, 0), (1, 0, 1))
@@ -106,7 +106,7 @@ class TestEvalReconstruction:
         rng = random.Random(47)
         for _ in range(8):
             poly = random_sparse(rng)
-            oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n)
+            oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n, random.Random(0))
             report = reconstruct(oracle, poly.n)
             assert report.complete
             assert report.polytope == convex_hull(poly.support())
@@ -123,7 +123,7 @@ class TestEvalReconstruction:
         for _ in range(8):
             poly = random_sparse(rng)
             calls.clear()
-            oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n)
+            oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n, random.Random(0))
             report = reconstruct(oracle, poly.n)
             assert report.complete
             assert report.polytope == convex_hull(poly.support())
@@ -135,9 +135,10 @@ class TestEvalReconstruction:
 class TestWitnessReconstruction:
     def test_quadratic_triangle(self, quad_poly):
         backend = SparseLineBackend(quad_poly)
-        line = make_line(2, 7, backend)
+        line = make_line(2, random.Random(7), backend)
         consts = line_constants(line, C=5.0)
         cfg = WitnessConfig(
+            rng=random.Random(1),
             rate_source=lambda w: rate_params_from_sparse(quad_poly, [float(x) for x in w], consts)
         )
         oracle = WitnessVertexOracle(backend, line, consts, cfg)
@@ -148,9 +149,10 @@ class TestWitnessReconstruction:
 
     def test_discriminant_segment(self, disc_poly):
         backend = SparseLineBackend(disc_poly)
-        line = make_line(3, 5, backend)
+        line = make_line(3, random.Random(5), backend)
         consts = line_constants(line, C=4.0)
         cfg = WitnessConfig(
+            rng=random.Random(1),
             rate_source=lambda w: rate_params_from_sparse(disc_poly, [float(x) for x in w], consts)
         )
         oracle = WitnessVertexOracle(backend, line, consts, cfg)
@@ -179,6 +181,7 @@ class TestWitnessReconstruction:
             polytopes = []
             for backend in (sparse_backend, SlpLineBackend(sparse_to_slp(poly))):
                 cfg = WitnessConfig(
+                    rng=random.Random(1),
                     rate_source=lambda w, p=poly, c=consts: rate_params_from_sparse(
                         p, [float(x) for x in w], c
                     )
@@ -193,13 +196,13 @@ class TestWitnessReconstruction:
 
 class TestVerify:
     def test_clean_polytope_passes(self, f1_poly):
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6, random.Random(0))
         report = reconstruct(oracle, 6)
         outcome = verify(report.polytope, oracle, 25, random.Random(3))
         assert outcome.ok and outcome.checked == 25
 
     def test_truncated_polytope_is_caught(self, f1_poly):
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(f1_poly), 6, random.Random(0))
         report = reconstruct(oracle, 6)
         # drop one vertex: many directions now expose the missing one
         truncated = convex_hull(report.polytope.vertices[:-1])
@@ -208,7 +211,7 @@ class TestVerify:
 
     def test_point_polytope(self):
         poly = SparsePolynomial.from_terms(2, [(3, (2, 1))])
-        oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), 2)
+        oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), 2, random.Random(0))
         report = reconstruct(oracle, 2)
         outcome = verify(report.polytope, oracle, 10, random.Random(5))
         assert outcome.ok

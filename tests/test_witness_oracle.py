@@ -46,7 +46,7 @@ DECADES = (1e2, 1e4, 1e6, 1e8)
 @pytest.fixture(scope="module")
 def quad_setup(quad_poly):
     backend = SparseLineBackend(quad_poly)
-    line = make_line(2, 0, backend, a=QUAD_LINE_A, b=QUAD_LINE_B)
+    line = make_line(2, random.Random(0), backend, a=QUAD_LINE_A, b=QUAD_LINE_B)
     consts = line_constants(line, C=5.0)
     return quad_poly, backend, line, consts
 
@@ -83,18 +83,18 @@ class TestMakeLine:
     def test_rejects_zero_direction_entry(self, quad_poly):
         backend = SparseLineBackend(quad_poly)
         with pytest.raises(GenericityFailure, match="zero"):
-            make_line(2, 0, backend, a=(0, 1 + 1j), b=(1, 2))
+            make_line(2, random.Random(0), backend, a=(0, 1 + 1j), b=(1, 2))
 
     def test_rejects_proportional_anchor(self, quad_poly):
         backend = SparseLineBackend(quad_poly)
         a = (2 + 1j, 3 - 2j)
         b = (2 * (2 + 1j), 2 * (3 - 2j))
         with pytest.raises(GenericityFailure, match="ratios"):
-            make_line(2, 0, backend, a=a, b=b)
+            make_line(2, random.Random(0), backend, a=a, b=b)
 
     def test_random_lines_are_generic(self, disc_poly):
         backend = SparseLineBackend(disc_poly)
-        line = make_line(3, 7, backend)
+        line = make_line(3, random.Random(7), backend)
         assert line.degree == 2
         ratios = line.ratios()
         for i in range(3):
@@ -134,14 +134,14 @@ class TestInitialRoots:
     def test_linear_polynomial_single_root(self):
         poly = parse_sparse("1 : 1 0\n2 : 0 1\n-3 : 0 0")
         backend = SparseLineBackend(poly)
-        line = make_line(2, 3, backend)
+        line = make_line(2, random.Random(3), backend)
         assert line.degree == 1
         roots = initial_roots(backend, line)
         assert len(roots) == 1
 
     def test_discriminant_two_roots(self, disc_poly):
         backend = SparseLineBackend(disc_poly)
-        line = make_line(3, 5, backend)
+        line = make_line(3, random.Random(5), backend)
         roots = initial_roots(backend, line)
         assert len(roots) == 2
         assert abs(roots[0] - roots[1]) > 1e-8
@@ -149,7 +149,7 @@ class TestInitialRoots:
     def test_degree_override_mismatch(self, quad_poly):
         backend = SparseLineBackend(quad_poly)
         with pytest.raises((DegreeMismatchError, GenericityFailure)):
-            make_line(2, 0, backend, a=QUAD_LINE_A, b=QUAD_LINE_B, degree=3)
+            make_line(2, random.Random(0), backend, a=QUAD_LINE_A, b=QUAD_LINE_B, degree=3)
 
     def test_slp_backend_agrees(self, quad_setup):
         quad, _, line, _ = quad_setup
@@ -185,7 +185,7 @@ class TestBackends:
         for _ in range(6):
             poly = random_sparse(rng)
             backend = SparseLineBackend(poly)
-            line = make_line(poly.n, rng.randint(0, 99), backend)
+            line = make_line(poly.n, random.Random(rng.randint(0, 99)), backend)
             for _ in range(5):
                 s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 t = math.exp(rng.uniform(0, 8))
@@ -319,6 +319,7 @@ class TestWitnessVertexQuery:
     def test_worked_example_directions(self, quad_setup):
         quad, backend, line, consts = quad_setup
         cfg = WitnessConfig(
+            rng=random.Random(1),
             rate_source=lambda w: rate_params_from_sparse(quad, [float(x) for x in w], consts, C=5.0)
         )
         up = witness_vertex_query(backend, line, consts, (1, 1), cfg)
@@ -328,16 +329,17 @@ class TestWitnessVertexQuery:
 
     def test_agrees_with_evaluation_oracle(self, disc_poly):
         backend = SparseLineBackend(disc_poly)
-        line = make_line(3, 11, backend)
+        line = make_line(3, random.Random(11), backend)
         consts = line_constants(line, C=4.0)
         cfg = WitnessConfig(
+            rng=random.Random(1),
             rate_source=lambda w: rate_params_from_sparse(disc_poly, [float(x) for x in w], consts)
         )
         w = (Fraction(-6, 5), Fraction(2, 5), Fraction(37, 10))
         cert = witness_vertex_query(backend, line, consts, list(w), cfg)
         superset = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
         answer = vertex_query(
-            sparse_to_slp(disc_poly), EvalBounds(2.0, 2.0, superset), w, t=45.0
+            sparse_to_slp(disc_poly), EvalBounds(2.0, 2.0, superset), w, random.Random(0), t=45.0
         )
         assert cert.beta == answer.beta == (1, 0, 1)
 
@@ -346,7 +348,7 @@ class TestWitnessVertexQuery:
         # b1/a1 for every stretch; its distance is 0 and every bound holds
         poly = SparsePolynomial.from_terms(2, [(1, (2, 0)), (1, (1, 1)), (-1, (1, 0))])
         backend = SparseLineBackend(poly)
-        line = make_line(2, 3, backend)
+        line = make_line(2, random.Random(3), backend)
         consts = line_constants(line, C=3.0)
         roots = initial_roots(backend, line)
         r1 = line.ratios()[0]
@@ -490,11 +492,11 @@ class TestTrackerSoundness:
 class TestTrackerInvariants:
     def test_samples_follow_the_closed_form_roots(self, quad_poly):
         rng = random.Random(41)
-        cases = [(quad_poly, make_line(2, 0, SparseLineBackend(quad_poly), a=QUAD_LINE_A, b=QUAD_LINE_B))]
+        cases = [(quad_poly, make_line(2, random.Random(0), SparseLineBackend(quad_poly), a=QUAD_LINE_A, b=QUAD_LINE_B))]
         while len(cases) < 8:
             poly = _scan_polynomial(rng)
             try:
-                cases.append((poly, make_line(2, rng.randrange(10**6), SparseLineBackend(poly))))
+                cases.append((poly, make_line(2, random.Random(rng.randrange(10**6)), SparseLineBackend(poly))))
             except GenericityFailure:
                 continue
         compared = 0
