@@ -45,6 +45,16 @@ def _parse_fraction_vector(text: str) -> Tuple[Fraction, ...]:
         raise InputError(f"bad direction {text!r}: {exc}") from exc
 
 
+def _check_finite(w: Sequence[Fraction]) -> None:
+    """Directions are evaluated in floating point: every entry must convert
+    to a finite double."""
+    for i, x in enumerate(w, start=1):
+        try:
+            float(x)
+        except OverflowError:
+            raise InputError(f"direction entry {i} is too large for a double") from None
+
+
 def _read_direction_file(path: str) -> List[Tuple[Fraction, ...]]:
     directions = []
     for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
@@ -134,6 +144,8 @@ def cmd_support(args) -> int:
         raise InputError("supply at least one direction via --w or --directions")
     if not all(any(w) for w in directions):
         raise InputError("a direction must be nonzero")
+    for w in directions:
+        _check_finite(w)
     rng = random.Random(args.seed)
     records = []
     lines = []
@@ -269,6 +281,7 @@ def cmd_vertex(args) -> int:
     if not args.w:
         raise InputError("--w is required")
     w = _parse_fraction_vector(args.w[0])
+    _check_finite(w)
     rng = random.Random(args.seed)
     if args.backend == "eval":
         program, n, _ = _load_polynomial(args)

@@ -185,8 +185,15 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
     """
     if not all(isinstance(v, (int, Fraction)) for v in w):
         raise TypeError("support estimates need exact rational direction entries")
-    w_vec = tuple(Fraction(v) for v in w)
-    gen = group_generator(w_vec)
+    if all(isinstance(v, int) for v in w):
+        # integer directions skip Fraction: the group is generated by the gcd
+        w_vec = tuple(w)
+        gen = Fraction(math.gcd(*w_vec))
+        if not gen:
+            raise ValueError("the direction must be nonzero")
+    else:
+        w_vec = tuple(Fraction(v) for v in w)
+        gen = group_generator(w_vec)
     gen_f = float(gen)
     tol = 0.25 * gen_f
     w_float = [float(v) for v in w_vec]
@@ -223,12 +230,31 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
     )
 
 
-def _box_bounds(directions: Sequence[Sequence[Fraction]], values: Sequence[Fraction], n: int) -> List[int]:
-    """Per-coordinate integer maxima of {x >= 0, W x <= h}; raises if unbounded."""
+def _box_bounds(directions: Sequence[Sequence], values: Sequence, n: int) -> List[int]:
+    """Per-coordinate integer upper bounds of {x >= 0, W x <= h}; raises if
+    unbounded or empty.
+
+    A cut row d with every entry >= 0 and d_i > 0 gives x_i <= d . x <= h,
+    so x_i <= floor(h / d_i), exactly.  Only coordinates that no such row
+    bounds fall back to a (floating-point) LP.
+    """
+    his: List[Optional[int]] = [None] * n
+    for d, h in zip(directions, values):
+        if any(v < 0 for v in d):
+            continue
+        for i, di in enumerate(d):
+            if di > 0:
+                # floor(h / d_i) on numerators and denominators; d_i > 0
+                bound = (h.numerator * di.denominator) // (h.denominator * di.numerator)
+                if his[i] is None or bound < his[i]:
+                    his[i] = bound
+    if any(hi is not None and hi < 0 for hi in his):
+        raise UnboundedError("the direction system cuts out no point with x >= 0")
     a_ub = [[float(v) for v in row] for row in directions]
     b_ub = [float(v) for v in values]
-    his = []
     for i in range(n):
+        if his[i] is not None:
+            continue
         cost = [0.0] * n
         cost[i] = -1.0
         res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
@@ -236,7 +262,7 @@ def _box_bounds(directions: Sequence[Sequence[Fraction]], values: Sequence[Fract
             raise UnboundedError(f"coordinate {i + 1} is unbounded under the given directions")
         if res.status != 0:
             raise UnboundedError(f"direction system is infeasible or ill-posed (status {res.status})")
-        his.append(int(math.floor(-res.fun + 1e-6)) + 1)
+        his[i] = int(math.floor(-res.fun + 1e-6)) + 1
     return his
 
 

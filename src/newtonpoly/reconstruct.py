@@ -43,6 +43,12 @@ DIRECTION_BOUND = 5
 # ---------------------------------------------------------------------------
 # oracle adapters
 
+def _exact_key(w: Sequence) -> Tuple:
+    """w as an exact cache key: ints stay ints, other entries become Fractions.
+    Fraction(k) == k with the same hash, so both spellings share one entry."""
+    return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
+
+
 class EvalVertexOracle:
     """Vertex oracle backed by black-box evaluation.
 
@@ -57,14 +63,13 @@ class EvalVertexOracle:
     def __init__(self, slp: Slp, n: int, superset: Sequence[Exponent], rng: random.Random, bounds=None):
         self.slp = slp
         self.n = n
-        self.superset = [tuple(p) for p in superset]
         self.bounds = bounds
         self.rng = rng
-        self.coord_bound = max(1, max((max(p) for p in self.superset), default=1))
-        self._candidates = CutFilter(np.asarray(self.superset).T)
+        points = np.asarray(superset)
+        self.coord_bound = max(1, int(points.max())) if points.size else 1
         # candidates still compatible with every support cut seen so far;
         # the true support always survives, imposters get peeled away
-        self._live = np.ones(len(self.superset), dtype=bool)
+        self._candidates = CutFilter(points.T)
         self._cache: Dict[Tuple, Point] = {}
         self._support_cache: Dict[Tuple, Fraction] = {}
 
@@ -81,7 +86,7 @@ class EvalVertexOracle:
         return cls(slp, n, superset, rng)
 
     def query(self, w: Sequence) -> Point:
-        key = tuple(Fraction(x) for x in w)
+        key = _exact_key(w)
         if key in self._cache:
             return self._cache[key]
         if self.bounds is not None:
@@ -100,7 +105,7 @@ class EvalVertexOracle:
 
     def _query_adaptive(self, w) -> Point:
         h = self.support(w)
-        hits = np.nonzero(self._live & self._candidates.keep([(w, h, True)]))[0]
+        hits = np.nonzero(self._candidates.keep([(w, h, True)]))[0]
         if len(hits) != 1:
             raise OracleIndeterminate(
                 f"{len(hits)} candidate exponents attain the support value"
@@ -108,7 +113,7 @@ class EvalVertexOracle:
         return tuple(int(a[hits[0]]) for a in self._candidates.axes)
 
     def support(self, w: Sequence) -> Fraction:
-        key = tuple(Fraction(x) for x in w)
+        key = _exact_key(w)
         if key in self._support_cache:
             return self._support_cache[key]
         try:
@@ -116,7 +121,9 @@ class EvalVertexOracle:
         except ev.NoConvergenceError as exc:
             raise OracleIndeterminate(str(exc)) from exc
         self._support_cache[key] = est.h_value
-        self._live &= self._candidates.keep([(key, est.h_value, False)])
+        live = self._candidates.keep([(key, est.h_value, False)])
+        if not live.all():
+            self._candidates = CutFilter([a[live] for a in self._candidates.axes])
         return est.h_value
 
 
@@ -143,7 +150,7 @@ class WitnessVertexOracle:
         self.certificates: List[wo.VertexCertificate] = []
 
     def query(self, w: Sequence) -> Point:
-        key = tuple(Fraction(x) for x in w)
+        key = _exact_key(w)
         if key in self._cache:
             return self._cache[key]
         try:

@@ -278,6 +278,29 @@ BAD_INPUTS = {
     "reconstruct-lambda-inf": ({}, DISC_RECONSTRUCT + ["--lambda", "inf"]),
     "reconstruct-lambda-nan": ({}, DISC_RECONSTRUCT + ["--lambda", "nan"]),
     "support-input-not-utf8": ({"f.poly": b"\xff\xfe1 : 1\n"}, ["support", "--sparse", "f.poly", "--w", "1"]),
+    "support-direction-entry-overflows": (
+        {},
+        ["support", "--sparse", str(FIXTURES / "disc.poly"), "--w", "1e400,0,1"],
+    ),
+    "support-direction-file-entry-overflows": (
+        {"d.txt": "0 1 0\n-1e400 0 1\n"},
+        ["support", "--sparse", str(FIXTURES / "disc.poly"), "--directions", "d.txt"],
+    ),
+    "adaptive-vertex-direction-entry-overflows": (
+        {},
+        ["vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"), "--adaptive", "--w", "1e400,0,1"],
+    ),
+    "vertex-direction-entry-overflows": (
+        {},
+        [
+            "vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"),
+            "--superset", str(FIXTURES / "disc_superset.pts"), "--delta", "2", "--lambda", "2", "--w", "1e400,0,1",
+        ],
+    ),
+    "witness-direction-entry-overflows": (
+        {},
+        ["vertex", "--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"), "--w", "1e400,1"],
+    ),
     "out-into-missing-directory": ({"p.pts": "1 2\n"}, ["hull", "--points", "p.pts", "--out", "missing/out.json"]),
 }
 
