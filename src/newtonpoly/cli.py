@@ -45,14 +45,17 @@ def _parse_fraction_vector(text: str) -> Tuple[Fraction, ...]:
         raise InputError(f"bad direction {text!r}: {exc}") from exc
 
 
-def _check_finite(w: Sequence[Fraction]) -> None:
+def _check_double(w: Sequence[Fraction]) -> None:
     """Directions are evaluated in floating point: every entry must convert
-    to a finite double."""
+    to a finite double, and the step between the values w . beta (the group
+    generator, at most every nonzero |entry|) to a normal one."""
     for i, x in enumerate(w, start=1):
         try:
             float(x)
         except OverflowError:
             raise InputError(f"direction entry {i} is too large for a double") from None
+    if any(w) and float(ev.group_generator(w)) < sys.float_info.min:
+        raise InputError("direction entries are too fine for a double")
 
 
 def _read_direction_file(path: str) -> List[Tuple[Fraction, ...]]:
@@ -145,7 +148,7 @@ def cmd_support(args) -> int:
     if not all(any(w) for w in directions):
         raise InputError("a direction must be nonzero")
     for w in directions:
-        _check_finite(w)
+        _check_double(w)
     rng = random.Random(args.seed)
     records = []
     lines = []
@@ -281,7 +284,7 @@ def cmd_vertex(args) -> int:
     if not args.w:
         raise InputError("--w is required")
     w = _parse_fraction_vector(args.w[0])
-    _check_finite(w)
+    _check_double(w)
     rng = random.Random(args.seed)
     if args.backend == "eval":
         program, n, _ = _load_polynomial(args)

@@ -72,7 +72,7 @@ class DirectionGap:
 
 @dataclass(frozen=True)
 class SupportEstimate:
-    w: Tuple[Fraction, ...]
+    w: Tuple
     group_gen: Fraction
     samples: Tuple[Tuple[float, float], ...]
     h_value: Optional[Fraction]
@@ -114,7 +114,10 @@ def threshold_t(bounds: EvalBounds, gap: DirectionGap) -> float:
         2.0 * (bounds.delta + E_INV),
         bounds.lam + math.log(len(bounds.superset)) + 1.0,
     )
-    return math.exp(top / gap.d_w)
+    try:
+        return math.exp(top / gap.d_w)
+    except OverflowError:
+        raise ValueError(f"the certified stretch factor exp({top / gap.d_w:g}) exceeds a double") from None
 
 
 def vertex_query(
@@ -159,18 +162,13 @@ def vertex_query(
     raise last_error
 
 
-def group_generator(w: Sequence[Fraction]) -> Fraction:
-    """Positive generator of {w . beta : beta integral} for rational nonzero w."""
-    fracs = [Fraction(x) for x in w]
-    if all(x == 0 for x in fracs):
+def group_generator(w: Sequence) -> Fraction:
+    """Positive generator of {w . beta : beta integral} for nonzero w with int
+    or Fraction entries: the gcd of w scaled to integers, over the scale."""
+    lcd = math.lcm(*(x.denominator for x in w))
+    g = math.gcd(*(x.numerator * (lcd // x.denominator) for x in w))
+    if not g:
         raise ValueError("the direction must be nonzero")
-    lcd = 1
-    for x in fracs:
-        lcd = lcd * x.denominator // math.gcd(lcd, x.denominator)
-    ints = [int(x * lcd) for x in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
     return Fraction(g, lcd)
 
 
@@ -185,15 +183,8 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
     """
     if not all(isinstance(v, (int, Fraction)) for v in w):
         raise TypeError("support estimates need exact rational direction entries")
-    if all(isinstance(v, int) for v in w):
-        # integer directions skip Fraction: the group is generated by the gcd
-        w_vec = tuple(w)
-        gen = Fraction(math.gcd(*w_vec))
-        if not gen:
-            raise ValueError("the direction must be nonzero")
-    else:
-        w_vec = tuple(Fraction(v) for v in w)
-        gen = group_generator(w_vec)
+    w_vec = tuple(w)
+    gen = group_generator(w_vec)
     gen_f = float(gen)
     tol = 0.25 * gen_f
     w_float = [float(v) for v in w_vec]
@@ -231,12 +222,14 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
 
 
 def _box_bounds(directions: Sequence[Sequence], values: Sequence, n: int) -> List[int]:
-    """Per-coordinate integer upper bounds of {x >= 0, W x <= h}; raises if
-    unbounded or empty.
+    """Per-coordinate integer upper bounds of {x >= 0, W x <= h}.
 
     A cut row d with every entry >= 0 and d_i > 0 gives x_i <= d . x <= h,
     so x_i <= floor(h / d_i), exactly.  Only coordinates that no such row
-    bounds fall back to a (floating-point) LP.
+    bounds fall back to a (floating-point) LP.  UnboundedError reports a
+    negative exact bound, an unbounded coordinate, or an LP that finds the
+    region empty; an empty region whose coordinates are all bounded exactly
+    is left to the caller, whose box then holds no point of it.
     """
     his: List[Optional[int]] = [None] * n
     for d, h in zip(directions, values):

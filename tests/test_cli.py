@@ -301,6 +301,30 @@ BAD_INPUTS = {
         {},
         ["vertex", "--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"), "--w", "1e400,1"],
     ),
+    "support-direction-entry-underflows": (
+        {},
+        ["support", "--sparse", str(FIXTURES / "disc.poly"), "--w", "1e-400,0,1"],
+    ),
+    "support-direction-step-underflows": (
+        # both entries are normal doubles, but the values w . beta step by 1/(10^200 3^420)
+        {"d.txt": f"1/{10**200} 0 1/{3**420}\n"},
+        ["support", "--sparse", str(FIXTURES / "disc.poly"), "--directions", "d.txt"],
+    ),
+    "adaptive-vertex-direction-entry-underflows": (
+        {},
+        ["vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"), "--adaptive", "--w", "1e-320,0,1"],
+    ),
+    "vertex-stretch-factor-overflows": (
+        {},
+        [
+            "vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"),
+            "--superset", str(FIXTURES / "disc_superset.pts"), "--delta", "2", "--lambda", "2", "--w", "1e-100,0,1",
+        ],
+    ),
+    "witness-direction-entry-underflows": (
+        {},
+        ["vertex", "--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"), "--w", "1e-400,1"],
+    ),
     "out-into-missing-directory": ({"p.pts": "1 2\n"}, ["hull", "--points", "p.pts", "--out", "missing/out.json"]),
 }
 
