@@ -34,10 +34,6 @@ class InputError(ValueError):
     pass
 
 
-class IndeterminateExit(RuntimeError):
-    pass
-
-
 def _parse_fraction_vector(text: str) -> Tuple[Fraction, ...]:
     try:
         return tuple(Fraction(entry.strip()) for entry in text.split(",") if entry.strip())
@@ -158,10 +154,7 @@ def cmd_support(args) -> int:
             program = _match_arity(program, len(w), args.slp)
         elif len(w) != n:
             raise InputError(f"direction {tuple(map(str, w))} has {len(w)} entries, expected {n}")
-        try:
-            est = ev.support_estimate(program, w, rng=rng)
-        except ev.NoConvergenceError as exc:
-            raise IndeterminateExit(str(exc)) from exc
+        est = ev.support_estimate(program, w, rng=rng)
         records.append(
             {
                 "w": [str(x) for x in w],
@@ -227,6 +220,8 @@ def _load_witness_setup(args, seed: int):
     try:
         if kind == "sparse":
             poly = sp.parse_sparse(_read_text(full))
+            if poly.is_zero():
+                raise InputError(f"{full}: the zero polynomial has no Newton polytope")
             backend = wo.SparseLineBackend(poly)
         elif kind == "slp":
             backend = wo.SlpLineBackend(sp.parse_slp(_read_text(full)))
@@ -261,10 +256,7 @@ def _load_witness_setup(args, seed: int):
             )
         a, b = ([complex(re, im) for re, im in line_info[key]] for key in ("a", "b"))
     rng = random.Random(seed)
-    try:
-        line = wo.make_line(backend.n, rng, backend, a=a, b=b, degree=degree)
-    except (wo.GenericityFailure, wo.DegreeMismatchError, wo.RootCoincidenceError) as exc:
-        raise IndeterminateExit(str(exc)) from exc
+    line = wo.make_line(backend.n, rng, backend, a=a, b=b, degree=degree)
     consts = wo.line_constants(line, C=c_value if c_value is not None else 10.0)
     rate_source = None
     if poly is not None:
@@ -297,23 +289,20 @@ def cmd_vertex(args) -> int:
             if not any(w):
                 raise InputError("a direction must be nonzero")
             oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
-            beta = None
-            last: Optional[Exception] = None
-            for _ in range(8):
+            for attempt in range(8):
                 try:
                     beta = oracle.query(w)
                     h = oracle.support(w)
                     break
-                except rc.OracleIndeterminate as exc:
+                except rc.OracleIndeterminate:
+                    if attempt == 7:
+                        raise
                     # an extra support cut prunes box points that shadow the vertex
-                    last = exc
                     try:
                         probe = rc.random_direction(n, 3, rng)
                         oracle.support(tuple(Fraction(x) for x in probe))
                     except rc.OracleIndeterminate:
                         pass
-            if beta is None:
-                raise IndeterminateExit(str(last)) from last
             record = {
                 "w": [str(x) for x in w],
                 "h": str(h),
@@ -326,9 +315,7 @@ def cmd_vertex(args) -> int:
             bounds = _load_bounds(args)
             try:
                 answer = ev.vertex_query(program, bounds, w, rng, t=args.t)
-            except (ev.NoUniqueCandidateError, ev.EvaluationZeroError) as exc:
-                raise IndeterminateExit(str(exc)) from exc
-            except ValueError as exc:  # a non-generic direction or a bad --t
+            except ValueError as exc:  # a non-generic direction, a bad --t or a stretch beyond a double
                 raise InputError(str(exc)) from exc
             h = sum(wi * bi for wi, bi in zip(w, answer.beta))
             record = {
@@ -352,15 +339,7 @@ def cmd_vertex(args) -> int:
     backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
     if len(w) != line.n:
         raise InputError(f"direction has {len(w)} entries, expected {line.n}")
-    try:
-        cert = wo.witness_vertex_query(backend, line, consts, list(w), wcfg)
-    except (
-        wo.IndeterminateError,
-        wo.RateViolationError,
-        wo.PathCrossingError,
-        wo.TrackingFailureError,
-    ) as exc:
-        raise IndeterminateExit(str(exc)) from exc
+    cert = wo.witness_vertex_query(backend, line, consts, list(w), wcfg)
     record = {
         "w": [str(x) for x in w],
         "h": str(sum(wi * bi for wi, bi in zip(w, cert.beta))),
@@ -400,11 +379,7 @@ def cmd_reconstruct(args) -> int:
         backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
         oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
         n = line.n
-    config = rc.ReconstructConfig(seed=args.seed)
-    try:
-        report = rc.reconstruct(oracle, n, config)
-    except rc.OracleExhausted as exc:
-        raise IndeterminateExit(str(exc)) from exc
+    report = rc.reconstruct(oracle, n, rc.ReconstructConfig(seed=args.seed))
 
     payload = {
         "polytope": json.loads(pt.to_json(report.polytope)),
@@ -568,7 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except IndeterminateExit as exc:
+    except rc.OracleIndeterminate as exc:  # any query that could not be certified
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (rc.OracleInconsistent, pt.HullError) as exc:

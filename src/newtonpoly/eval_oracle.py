@@ -22,24 +22,28 @@ from typing import List, Optional, Sequence, Tuple
 from scipy.optimize import linprog
 
 from .polytope import LatticePolytope, box_points, convex_hull
-from .slp import Exponent, Slp, evaluate, log_abs, scaled_point
+from .slp import Exponent, OracleIndeterminate, Slp, evaluate, log_abs, scaled_point
 
 E_INV = math.exp(-1.0)
 
 
-class NotGenericError(ValueError):
+class NotGenericError(ValueError, OracleIndeterminate):
     """Two candidate exponents have (numerically) equal dot products with w."""
 
 
-class NoUniqueCandidateError(RuntimeError):
+class StretchOverflowError(ValueError, OracleIndeterminate):
+    """The certified stretch factor for w exceeds a double."""
+
+
+class NoUniqueCandidateError(OracleIndeterminate):
     """The measured ratio does not single out one candidate exponent."""
 
 
-class EvaluationZeroError(RuntimeError):
+class EvaluationZeroError(OracleIndeterminate):
     """f vanished exactly at the query point."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(OracleIndeterminate):
     """The support estimate did not settle on a group element."""
 
 
@@ -117,7 +121,7 @@ def threshold_t(bounds: EvalBounds, gap: DirectionGap) -> float:
     try:
         return math.exp(top / gap.d_w)
     except OverflowError:
-        raise ValueError(f"the certified stretch factor exp({top / gap.d_w:g}) exceeds a double") from None
+        raise StretchOverflowError(f"the certified stretch factor exp({top / gap.d_w:g}) exceeds a double") from None
 
 
 def vertex_query(

@@ -21,18 +21,14 @@ import numpy as np
 from . import eval_oracle as ev
 from . import witness_oracle as wo
 from .polytope import CutFilter, LatticePolytope, Point, _rank, _sub, convex_hull, support_function
-from .slp import Exponent, Slp
-
-
-class OracleIndeterminate(RuntimeError):
-    """The oracle could not certify a vertex for this direction."""
+from .slp import Exponent, OracleIndeterminate, Slp
 
 
 class OracleInconsistent(RuntimeError):
     """The oracle returned a point strictly inside the current hull."""
 
 
-class OracleExhausted(RuntimeError):
+class OracleExhausted(OracleIndeterminate):
     """No certified answers at all; nothing to reconstruct from."""
 
 
@@ -97,11 +93,7 @@ class EvalVertexOracle:
         return beta
 
     def _query_bounds(self, w) -> Point:
-        try:
-            answer = ev.vertex_query(self.slp, self.bounds, w, rng=self.rng)
-        except (ev.NotGenericError, ev.NoUniqueCandidateError, ev.EvaluationZeroError) as exc:
-            raise OracleIndeterminate(str(exc)) from exc
-        return answer.beta
+        return ev.vertex_query(self.slp, self.bounds, w, rng=self.rng).beta
 
     def _query_adaptive(self, w) -> Point:
         h = self.support(w)
@@ -116,10 +108,7 @@ class EvalVertexOracle:
         key = _exact_key(w)
         if key in self._support_cache:
             return self._support_cache[key]
-        try:
-            est = ev.support_estimate(self.slp, key, rng=self.rng)
-        except ev.NoConvergenceError as exc:
-            raise OracleIndeterminate(str(exc)) from exc
+        est = ev.support_estimate(self.slp, key, rng=self.rng)
         self._support_cache[key] = est.h_value
         live = self._candidates.keep([(key, est.h_value, False)])
         if not live.all():
@@ -153,17 +142,7 @@ class WitnessVertexOracle:
         key = _exact_key(w)
         if key in self._cache:
             return self._cache[key]
-        try:
-            cert = wo.witness_vertex_query(
-                self.backend, self.line, self.consts, list(key), self.config
-            )
-        except (
-            wo.IndeterminateError,
-            wo.RateViolationError,
-            wo.PathCrossingError,
-            wo.TrackingFailureError,
-        ) as exc:
-            raise OracleIndeterminate(str(exc)) from exc
+        cert = wo.witness_vertex_query(self.backend, self.line, self.consts, list(key), self.config)
         self.certificates.append(cert)
         self._cache[key] = cert.beta
         return cert.beta

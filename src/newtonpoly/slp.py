@@ -37,6 +37,11 @@ class SlpParseError(ValueError):
         self.line_no = line_no
 
 
+class OracleIndeterminate(RuntimeError):
+    """A vertex or support query could not be certified.  Every failure of
+    either oracle that means "not certifiable" derives from this class."""
+
+
 def _coeff_to_complex(c: Coefficient) -> complex:
     return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
 

@@ -34,32 +34,35 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .slp import Exponent, SparsePolynomial, Slp, _coeff_to_complex, evaluate_dir, scaled, sparse_to_slp, to_complex
+from .slp import (
+    Exponent, OracleIndeterminate, SparsePolynomial, Slp, _coeff_to_complex, evaluate_dir, scaled, sparse_to_slp,
+    to_complex,
+)
 
 LN2 = math.log(2.0)
 
 
-class GenericityFailure(RuntimeError):
+class GenericityFailure(OracleIndeterminate):
     """No acceptable random line after several redraws."""
 
 
-class DegreeMismatchError(RuntimeError):
+class DegreeMismatchError(OracleIndeterminate):
     """The line meets the hypersurface in fewer points than expected."""
 
 
-class RootCoincidenceError(RuntimeError):
+class RootCoincidenceError(OracleIndeterminate):
     """Two intersection points collide at the base parameter."""
 
 
-class PathCrossingError(RuntimeError):
+class PathCrossingError(OracleIndeterminate):
     """Two tracked paths approached within the merge guard."""
 
 
-class TrackingFailureError(RuntimeError):
+class TrackingFailureError(OracleIndeterminate):
     """The corrector failed to converge even after step halving."""
 
 
-class IndeterminateError(RuntimeError):
+class IndeterminateError(OracleIndeterminate):
     """Some path settled in no region; the direction is not general enough."""
 
 
@@ -67,7 +70,7 @@ class AmbiguousClusterError(RuntimeError):
     """A path landed inside two cluster balls (excluded by construction)."""
 
 
-class RateViolationError(RuntimeError):
+class RateViolationError(OracleIndeterminate):
     """A certified bound or expected slope failed on the samples."""
 
 
@@ -311,8 +314,6 @@ def _aberth(coeffs: Sequence[complex]) -> List[complex]:
 @dataclass(frozen=True)
 class TrackedPath:
     samples: Tuple[Tuple[float, complex, float], ...]
-    status: str = "undecided"  # "undecided" | "diverging" | "cluster"
-    cluster: Optional[int] = None
 
 
 def _newton_correct(backend, line, w, s: complex, t: float, tol: float = 1e-12):
@@ -559,7 +560,7 @@ class VertexCertificate:
 
 def classify_paths(
     paths: Sequence[TrackedPath], line: WitnessLine, consts: LineConstants
-) -> Tuple[List[TrackedPath], VertexCertificate]:
+) -> VertexCertificate:
     """Assign every path to a cluster or to infinity and count the vertex.
 
     A certificate is only issued when every path lands in exactly one region
@@ -569,7 +570,6 @@ def classify_paths(
     ratios = line.ratios()
     escape = 2.0 * consts.b_max / consts.a_min
     assignments: List[Tuple[str, Optional[int]]] = []
-    classified: List[TrackedPath] = []
     for idx, path in enumerate(paths):
         _, s_end, _ = path.samples[-1]
         hits = [i for i in range(line.n) if abs(s_end - ratios[i]) <= consts.gamma[i]]
@@ -577,10 +577,8 @@ def classify_paths(
             raise AmbiguousClusterError(f"path {idx} lies in {len(hits)} cluster balls")
         if hits:
             assignments.append(("cluster", hits[0]))
-            classified.append(replace(path, status="cluster", cluster=hits[0]))
         elif abs(s_end) > escape:
             assignments.append(("diverging", None))
-            classified.append(replace(path, status="diverging"))
         else:
             raise IndeterminateError(
                 f"path {idx} ended at |s|={abs(s_end):.3g}, in no region"
@@ -612,10 +610,7 @@ def classify_paths(
             diverging += 1
     degree = len(paths)
     assert sum(beta) + diverging == degree
-    cert = VertexCertificate(
-        tuple(beta), (), degree, t_entry, tuple(assignments)
-    )
-    return classified, cert
+    return VertexCertificate(tuple(beta), (), degree, t_entry, tuple(assignments))
 
 
 @dataclass(frozen=True)
@@ -878,14 +873,26 @@ def witness_vertex_query(
     w: Sequence,
     config: WitnessConfig,
 ) -> VertexCertificate:
-    """Track, classify, and certify one direction; perturb and retry when the
-    direction turns out not to be general enough."""
+    """Track, classify, and certify one direction; retry on a perturbed
+    direction when w turns out not to be general enough.
+
+    A retry queries m*u + r: u is w scaled to integers, r a nonzero tilt in
+    {-1, 0, 1}^n and m = n * max(1, degree) + 1.  Exponents have entries in
+    [0, degree], so |r . (alpha - beta)| < m never reverses a gap of m*u and
+    the answer stays on the face that w exposes (the bound that
+    ``reconstruct.facet_query_direction`` uses).
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in w):
+        raise TypeError("witness queries need exact rational direction entries")
+    lcd = math.lcm(*(Fraction(x).denominator for x in w))
+    u = [int(x * lcd) for x in w]
+    m = line.n * max(1, line.degree) + 1
     w_cur = list(w)
     last: Optional[Exception] = None
     for attempt in range(config.retries + 1):
         try:
             paths = track_paths(backend, line, [float(x) for x in w_cur], config.t_max)
-            paths, cert = classify_paths(paths, line, consts)
+            cert = classify_paths(paths, line, consts)
             if config.rate_source is not None:
                 rates = config.rate_source(w_cur)
             else:
@@ -893,12 +900,8 @@ def witness_vertex_query(
             return verify_rates(paths, cert, consts, line, w_cur, rates)
         except (IndeterminateError, RateViolationError, PathCrossingError) as exc:
             last = exc
-            exact = all(isinstance(x, (int, Fraction)) for x in w_cur)
             bump = [config.rng.choice((-1, 0, 1)) for _ in range(line.n)]
             if not any(bump):
                 bump[config.rng.randrange(line.n)] = 1
-            if exact:
-                w_cur = [Fraction(x) + Fraction(r, 8) for x, r in zip(w_cur, bump)]
-            else:
-                w_cur = [float(x) + r / 8.0 for x, r in zip(w_cur, bump)]
+            w_cur = [m * ui + r for ui, r in zip(u, bump)]
     raise IndeterminateError(f"no certifiable direction near {tuple(map(float, w))}: {last}")

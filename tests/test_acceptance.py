@@ -62,11 +62,11 @@ def quad_tracking(quad_poly):
     for key, w in (("up", (1.0, 1.0)), ("down", (-1.0, -1.0))):
         start = time.perf_counter()
         paths = track_paths(backend, line, w, t_max=1e8, record_at=DECADES)
-        classified, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         rates = rate_params_from_sparse(quad_poly, w, consts, table_variant=True, C=5.0)
-        cert = verify_rates(classified, cert, consts, line, w, rates)
+        cert = verify_rates(paths, cert, consts, line, w, rates)
         results[key] = {
-            "paths": classified,
+            "paths": paths,
             "cert": cert,
             "rates": rates,
             "elapsed": time.perf_counter() - start,

@@ -202,6 +202,17 @@ class TestVertex:
         assert code == 3
         assert "indeterminate: corrector stalled" in err
 
+    def test_witness_retry_stays_on_the_exposed_face(self, capsys, tmp_path):
+        # (1/20, 1/10) ties x^2 and y; seed 36 draws a retry tilt that, at
+        # size 1/8, would expose the constant term and print h = 0
+        config = tmp_path / "w.json"
+        config.write_text(_quad_config(seed=36)["w.json"])
+        code, out, _ = run_cli(
+            ["vertex", "--backend", "witness", "--witness-config", str(config), "--w", "1/20,1/10"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["h"] == "1/10"
+
 
 QUAD_CONFIG = json.loads((FIXTURES / "quad_witness.json").read_text())
 
@@ -255,6 +266,10 @@ BAD_INPUTS = {
     "witness-sparse-backend-does-not-parse": (
         {"w.json": json.dumps({"backend": {"type": "sparse", "path": "bad.poly"}}), "bad.poly": "nonsense\n"},
         ["reconstruct", "--backend", "witness", "--witness-config", "w.json"],
+    ),
+    "witness-sparse-backend-zero-polynomial": (
+        {"w.json": json.dumps({"backend": {"type": "sparse", "path": "zero.poly"}}), "zero.poly": "0 : 0 0\n"},
+        ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
     ),
     "witness-slp-backend-does-not-parse": (
         {"w.json": json.dumps({"backend": {"type": "slp", "path": "bad.slp"}}), "bad.slp": "frobnicate r1\n"},
@@ -329,17 +344,53 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
-    files, args = BAD_INPUTS[name]
+ZERO_SLP = {"zero.slp": "in 1\nconst -1\nmul r1 r2\nadd r1 r3\n"}  # x + (-1) x
+
+# inputs whose queries cannot be certified: exit 3, never a traceback
+INDETERMINATE_INPUTS = {
+    "reconstruct-adaptive-zero-program": (ZERO_SLP, ["reconstruct", "--slp", "zero.slp", "--adaptive"]),
+    "vertex-adaptive-zero-program": (
+        ZERO_SLP,
+        ["vertex", "--backend", "eval", "--slp", "zero.slp", "--adaptive", "--w", "1"],
+    ),
+}
+
+
+def _write_files(tmp_path, files) -> None:
     for file_name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / file_name).write_bytes(content)
         else:
             (tmp_path / file_name).write_text(content)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
+    files, args = BAD_INPUTS[name]
+    _write_files(tmp_path, files)
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(args, capsys)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(INDETERMINATE_INPUTS))
+def test_uncertifiable_input_exits_3(name, capsys, tmp_path, monkeypatch):
+    files, args = INDETERMINATE_INPUTS[name]
+    _write_files(tmp_path, files)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args, capsys)
+    assert code == 3 and err.startswith("indeterminate:")
+
+
+def test_stretch_overflow_is_an_indeterminate_reconstruct_query(capsys):
+    # delta = 400 puts the certified stretch of most query directions beyond
+    # a double; those queries are indeterminate and the rest still finish
+    code, out, err = run_cli(DISC_RECONSTRUCT + ["--delta", "400", "--lambda", "2"], capsys)
+    assert code in (0, 3)
+    if code == 0:
+        assert json.loads(out)["polytope"]["vertices"] == [[0, 2, 0], [1, 0, 1]]
+    else:
+        assert err.startswith("indeterminate:") or "incomplete" in err
 
 
 class TestReconstruct:

@@ -234,21 +234,21 @@ class TestClassify:
     def test_convergent_certificate(self, quad_setup):
         _, backend, line, consts = quad_setup
         paths = track_paths(backend, line, (1.0, 1.0), t_max=1e8)
-        _, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         assert cert.beta == (2, 0)
         assert cert.t_entry <= 1e2
 
     def test_divergent_certificate(self, quad_setup):
         _, backend, line, consts = quad_setup
         paths = track_paths(backend, line, (-1.0, -1.0), t_max=1e8)
-        _, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         assert cert.beta == (0, 0)
         assert sum(1 for kind, _ in cert.assignments if kind == "diverging") == 2
 
     def test_mixed_certificate(self, quad_setup):
         _, backend, line, consts = quad_setup
         paths = track_paths(backend, line, (0.0, 1.0), t_max=1e8)
-        _, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         assert cert.beta == (0, 1)
 
     def test_conservation(self, quad_setup):
@@ -256,7 +256,7 @@ class TestClassify:
         for w in ((1.0, 1.0), (-1.0, -1.0), (0.0, 1.0), (1.0, 0.0)):
             paths = track_paths(backend, line, w, t_max=1e8)
             try:
-                _, cert = classify_paths(paths, line, consts)
+                cert = classify_paths(paths, line, consts)
             except IndeterminateError:
                 continue
             diverging = sum(1 for kind, _ in cert.assignments if kind == "diverging")
@@ -282,15 +282,15 @@ class TestVerifyRates:
         quad, backend, line, consts = quad_setup
         for w, variant in (((1.0, 1.0), True), ((-1.0, -1.0), True), ((1.0, 1.0), False)):
             paths = track_paths(backend, line, w, t_max=1e8)
-            cls, cert = classify_paths(paths, line, consts)
+            cert = classify_paths(paths, line, consts)
             rates = rate_params_from_sparse(quad, w, consts, table_variant=variant, C=5.0)
-            done = verify_rates(cls, cert, consts, line, w, rates)
+            done = verify_rates(paths, cert, consts, line, w, rates)
             assert all(done.rate_checks) and done.slopes_ok
 
     def test_wrong_expected_slope_is_rejected(self, quad_setup):
         quad, backend, line, consts = quad_setup
         paths = track_paths(backend, line, (1.0, 1.0), t_max=1e8)
-        cls, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         bogus = RateParams(
             gap_conv=1.0,
             gap_div=None,
@@ -301,17 +301,17 @@ class TestVerifyRates:
             slope_div=None,
         )
         with pytest.raises(RateViolationError):
-            verify_rates(cls, cert, consts, line, (1.0, 1.0), bogus)
+            verify_rates(paths, cert, consts, line, (1.0, 1.0), bogus)
 
     def test_fitted_params_certify_without_support_knowledge(self, quad_setup):
         _, backend, line, consts = quad_setup
         paths = track_paths(backend, line, (1.0, 1.0), t_max=1e8)
-        cls, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rates = fitted_rate_params(cls, cert, line, consts)
+            rates = fitted_rate_params(paths, cert, line, consts)
         assert rates.fitted and rates.C == 10.0
-        done = verify_rates(cls, cert, consts, line, (1.0, 1.0), rates)
+        done = verify_rates(paths, cert, consts, line, (1.0, 1.0), rates)
         assert all(done.rate_checks)
 
 
@@ -354,10 +354,10 @@ class TestWitnessVertexQuery:
         r1 = line.ratios()[0]
         assert min(abs(z - r1) for z in roots) < 1e-9
         paths = track_paths(backend, line, (1.0, 0.0), t_max=1e8)
-        classified, cert = classify_paths(paths, line, consts)
+        cert = classify_paths(paths, line, consts)
         assert cert.beta == (2, 0)
         rates = rate_params_from_sparse(poly, (1.0, 0.0), consts)
-        done = verify_rates(classified, cert, consts, line, (1.0, 0.0), rates)
+        done = verify_rates(paths, cert, consts, line, (1.0, 0.0), rates)
         assert all(done.rate_checks)
 
     def test_indeterminate_direction_retries_and_certifies(self, quad_setup):
@@ -369,6 +369,22 @@ class TestWitnessVertexQuery:
         )
         cert = witness_vertex_query(backend, line, consts, (1, 2), cfg)
         assert sum(cert.beta) <= 2
+
+    def test_retries_stay_on_the_face_that_w_exposes(self, quad_setup):
+        quad, backend, line, consts = quad_setup
+        # (1/20, 1/10) ties x^2 and y at h = 1/10; seed 36 draws a tilt that,
+        # at size 1/8, would leave that edge's normal cone for the constant term
+        cfg = WitnessConfig(
+            rng=random.Random(36),
+            rate_source=lambda w: rate_params_from_sparse(quad, [float(x) for x in w], consts, C=5.0),
+        )
+        cert = witness_vertex_query(backend, line, consts, (Fraction(1, 20), Fraction(1, 10)), cfg)
+        assert cert.beta in {(2, 0), (0, 1)}
+
+    def test_float_directions_are_rejected(self, quad_setup):
+        _, backend, line, consts = quad_setup
+        with pytest.raises(TypeError):
+            witness_vertex_query(backend, line, consts, (1.0, 1.0), WitnessConfig(rng=random.Random(0)))
 
 
 # ---------------------------------------------------------------------------
