@@ -160,7 +160,7 @@ def cmd_support(args) -> int:
                 "w": [str(x) for x in w],
                 "h": str(est.h_value),
                 "vertex": None,
-                "t_used": math.exp(est.samples[-1][0]),
+                "log_t_used": est.samples[-1][0],
                 "estimates": [[tau, value] for tau, value in est.samples],
             }
         )

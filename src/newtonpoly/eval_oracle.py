@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import linprog
 
-from .polytope import LatticePolytope, box_points, convex_hull
+# convex_hull stays importable here: perfbench/tracing.py wraps the name
+from .polytope import box_points, convex_hull  # noqa: F401
 from .slp import Exponent, OracleIndeterminate, Slp, evaluate, log_abs, scaled_point
 
 E_INV = math.exp(-1.0)
@@ -286,18 +287,3 @@ def adaptive_superset(
     if not points:
         raise UnboundedError("no lattice points satisfy the estimated cuts")
     return points, cuts
-
-
-def bounding_polytope(
-    f: Slp,
-    n: int,
-    directions: Sequence[Sequence],
-    rng: random.Random,
-) -> LatticePolytope:
-    """Hull of the integer points allowed by the estimated support cuts.
-
-    The result contains the Newton polytope of f, and its lattice points form
-    a valid candidate superset for deterministic vertex queries.
-    """
-    points, _ = adaptive_superset(f, n, directions, rng)
-    return convex_hull(points)

@@ -76,10 +76,20 @@ class EvalVertexOracle:
 
     @classmethod
     def adaptive(cls, slp: Slp, n: int, rng: random.Random) -> "EvalVertexOracle":
-        """Candidates cut out by support estimates along the coordinate axes."""
+        """Candidates cut out by support estimates along the coordinate axes
+        and along (1, ..., 1) and (-1, ..., -1), the total-degree cuts.
+
+        The axis rows and (1, ..., 1) are nonnegative, so they bound the box
+        exactly without an LP; (-1, ..., -1) removes the box points below the
+        lowest total degree.  A row that repeats an axis (n = 1) is left out.
+        The cut values also answer later support queries in those directions.
+        """
         axes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        superset, _ = ev.adaptive_superset(slp, n, axes, rng)
-        return cls(slp, n, superset, rng)
+        totals = [d for d in ((1,) * n, (-1,) * n) if d not in axes]
+        superset, cuts = ev.adaptive_superset(slp, n, axes + totals, rng)
+        oracle = cls(slp, n, superset, rng)
+        oracle._support_cache.update(cuts)
+        return oracle
 
     def query(self, w: Sequence) -> Point:
         key = _exact_key(w)
@@ -192,7 +202,9 @@ def facet_query_direction(
 ) -> Tuple[int, ...]:
     """Outer normal nudged into general position without leaving the facet's cone.
 
-    The tilt r has integer entries and the normal is scaled by
+    The direction is M*u + r for the normal u.  The tilt r has integer
+    entries drawn from [-r_bound, r_bound] without 0: where u_i = 0, a zero
+    r_i would leave a direction such as (-17, 0) that ties a whole edge.
     M > n * r_bound * coord_bound, so for any two candidate exponents the
     scaled normal part dominates the tilt: every maximizer of M*u + r also
     maximizes u, i.e. the oracle's answer lands on the facet's exposed face.
@@ -201,10 +213,7 @@ def facet_query_direction(
     """
     n = len(normal)
     m = n * r_bound * coord_bound + 1
-    while True:
-        r = [rng.randint(-r_bound, r_bound) for _ in range(n)]
-        if any(r):
-            break
+    r = [rng.choice((-1, 1)) * rng.randint(1, r_bound) for _ in range(n)]
     return tuple(m * u + ri for u, ri in zip(normal, r))
 
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from newtonpoly.eval_oracle import adaptive_superset
 from newtonpoly.numbers import GaussianRational
+from newtonpoly.polytope import LatticePolytope, convex_hull
 from newtonpoly.slp import SparsePolynomial, parse_sparse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
@@ -82,3 +84,13 @@ def random_sparse(
         )
         if len(poly.terms) >= 2:
             return poly
+
+
+def bounding_polytope(f, n: int, directions, rng: random.Random) -> LatticePolytope:
+    """Hull of the integer points allowed by the estimated support cuts.
+
+    The result contains the Newton polytope of f, and its lattice points form
+    a valid candidate superset for deterministic vertex queries.
+    """
+    points, _ = adaptive_superset(f, n, directions, rng)
+    return convex_hull(points)

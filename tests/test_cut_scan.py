@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from newtonpoly import eval_oracle as ev
 from newtonpoly.polytope import CutFilter, convex_hull, lattice_points
 from newtonpoly.reconstruct import EvalVertexOracle, OracleIndeterminate
+from newtonpoly.slp import sparse_to_slp
+from conftest import random_sparse
 
 SHIFTS = (0, 2**70, -(2**70))  # 2^70 forces the Python-integer path
 DENOMINATORS = (1, 2, 3, 7, 2**70)
@@ -129,11 +131,35 @@ def test_negative_axis_bound_is_empty():
 
 
 def test_axis_only_oracle_never_calls_linprog():
-    values = [Fraction(3), Fraction(5, 2), Fraction(1)]
+    # h(e_1), h(e_2), h(e_3), h(1, 1, 1), h(-1, -1, -1): the box
+    # [0, 3] x [0, 2] x [0, 1] keeps its 16 points with 2 <= x1 + x2 + x3 <= 4
+    values = [Fraction(3), Fraction(5, 2), Fraction(1), Fraction(4), Fraction(-2)]
     with mock.patch.object(ev, "support_estimate", fake_estimates(values)), mock.patch.object(ev, "linprog", no_linprog):
         oracle = EvalVertexOracle.adaptive(None, 3, random.Random(0))
+        # the five values are used up: the cuts answer their own directions
+        assert oracle.support((1, 1, 1)) == 4 and oracle.support((0, 1, 0)) == Fraction(5, 2)
     assert oracle.coord_bound == 3
-    assert oracle._candidates.shape == (4 * 3 * 2,)
+    assert oracle._candidates.shape == (16,)
+
+
+def reference_oracle_candidates(support):
+    """Scan of the box 0 <= x_i <= h(e_i) for the points whose total degree
+    lies between -h(-1, ..., -1) and h(1, ..., 1), with every support value
+    taken exactly from the support."""
+    n = len(support[0])
+    tops = [max(a[i] for a in support) for i in range(n)]
+    low, high = min(map(sum, support)), max(map(sum, support))
+    return [p for p in itertools.product(*(range(t + 1) for t in tops)) if low <= sum(p) <= high]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_adaptive_candidates_hold_the_support_and_match_reference(seed):
+    poly = random_sparse(random.Random(seed))
+    oracle = EvalVertexOracle.adaptive(sparse_to_slp(poly), poly.n, random.Random(seed))
+    candidates = list(zip(*(a.tolist() for a in oracle._candidates.axes)))
+    assert set(poly.support()) <= set(candidates)
+    assert candidates == reference_oracle_candidates(poly.support())
 
 
 def test_large_lattice_points_need_python_integers():

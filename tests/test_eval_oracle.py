@@ -10,7 +10,6 @@ from newtonpoly.eval_oracle import (
     NotGenericError,
     UnboundedError,
     adaptive_superset,
-    bounding_polytope,
     group_generator,
     min_gap,
     support_estimate,
@@ -19,7 +18,7 @@ from newtonpoly.eval_oracle import (
 )
 from newtonpoly.polytope import lattice_points
 from newtonpoly.slp import SparsePolynomial, parse_sparse, sparse_to_slp
-from conftest import random_sparse
+from conftest import bounding_polytope, random_sparse
 
 QUADRIC_SUPERSET = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 W_EXAMPLE = (Fraction(-6, 5), Fraction(2, 5), Fraction(37, 10))  # (-1.2, 0.4, 3.7)

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtonpoly import reconstruct as rc
 from newtonpoly.eval_oracle import EvalBounds
+from newtonpoly.numbers import GaussianRational
 from newtonpoly.polytope import convex_hull, support_function
 from newtonpoly.reconstruct import (
     EvalVertexOracle,
@@ -18,6 +22,7 @@ from newtonpoly.reconstruct import (
 )
 from newtonpoly.slp import SparsePolynomial, sparse_to_slp
 from newtonpoly.witness_oracle import (
+    SlpLineBackend,
     SparseLineBackend,
     WitnessConfig,
     line_constants,
@@ -71,6 +76,23 @@ class TestFacetDirection:
             best = max(box, key=lambda p: sum(x * y for x, y in zip(w, p)))
             top = max(sum(x * y for x, y in zip(normal, p)) for p in box)
             assert sum(x * y for x, y in zip(normal, best)) == top
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tilts_are_nonzero_and_every_maximizer_stays_on_the_face(self, normal, coord_bound, r_bound, seed):
+        w = facet_query_direction(normal, coord_bound, r_bound, random.Random(seed))
+        m = len(normal) * r_bound * coord_bound + 1
+        assert all(0 < abs(wi - m * u) <= r_bound for wi, u in zip(w, normal))
+        dot = lambda v, p: sum(x * y for x, y in zip(v, p))  # noqa: E731
+        box = list(itertools.product(range(coord_bound + 1), repeat=len(normal)))
+        top_w = max(dot(w, p) for p in box)
+        top_u = max(dot(normal, p) for p in box)
+        assert all(dot(normal, p) == top_u for p in box if dot(w, p) == top_w)
 
 
 class TestEvalReconstruction:
@@ -163,8 +185,6 @@ class TestWitnessReconstruction:
     def test_black_box_backend_matches_sparse_backend(self):
         import math
 
-        from newtonpoly.witness_oracle import SlpLineBackend
-
         rng = random.Random(777)
         done = 0
         attempt = 0
@@ -192,6 +212,60 @@ class TestWitnessReconstruction:
             assert polytopes[0] == polytopes[1] == expected
             done += 1
         assert done == 3
+
+
+# Two inputs of the witness benchmark's recipe (2 variables, 4 terms, total
+# degree 2): the terms as ((re, im), exponent), the seed of the line's
+# generator and the seed of reconstruct().
+FITTED_RATE_CASES = [
+    pytest.param(
+        [
+            ((Fraction(-63203, 65536), Fraction(-188851, 65536)), (0, 0)),
+            ((Fraction(-10099, 8192), Fraction(-22141, 16384)), (0, 1)),
+            ((Fraction(19623, 32768), Fraction(-2403, 1024)), (1, 1)),
+            ((Fraction(-70705, 65536), Fraction(-22013, 65536)), (2, 0)),
+        ],
+        3781540672832418278,
+        4823600569967245933,
+        id="seed1-input0",
+    ),
+    pytest.param(
+        [
+            ((Fraction(-6969, 4096), Fraction(-71093, 32768)), (0, 0)),
+            ((Fraction(-43057, 32768), Fraction(200881, 65536)), (0, 1)),
+            ((Fraction(15329, 16384), Fraction(-189435, 65536)), (0, 2)),
+            ((Fraction(-159635, 32768), Fraction(-2831, 65536)), (1, 0)),
+        ],
+        3663847880456398934,
+        2668796735357448443,
+        id="seed2-input128",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="random_direction in the seed phase draws (-1, 0), which ties (0, 0), (0, 1) "
+            "and (0, 2), and the fitted rates certify the non-support point (1, 1) for it",
+        ),
+    ),
+]
+
+
+class TestFittedRates:
+    """Witness reconstructions that fit their rates from the samples (no
+    rate_source) through the black-box backend: a complete answer must be
+    the hull of the support."""
+
+    @pytest.mark.parametrize("terms, line_seed, reconstruct_seed", FITTED_RATE_CASES)
+    def test_complete_answers_are_correct(self, terms, line_seed, reconstruct_seed):
+        # seed1-input0 once certified the non-support point (1, 0) for the
+        # seed-phase tilts (-17, 0) and (-26, 0): a zero tilt entry left both
+        # directions on the edge from (0, 0) to (0, 1)
+        poly = SparsePolynomial.from_terms(2, [(GaussianRational(re, im), a) for (re, im), a in terms])
+        backend = SlpLineBackend(sparse_to_slp(poly))
+        rng = random.Random(line_seed)
+        line = make_line(2, rng, backend)
+        consts = line_constants(line, C=10.0)
+        oracle = WitnessVertexOracle(backend, line, consts, WitnessConfig(rng=rng, C=10.0))
+        report = reconstruct(oracle, 2, ReconstructConfig(seed=reconstruct_seed, facet_retries=8))
+        assert not report.complete or report.polytope == convex_hull(poly.support())
 
 
 class TestVerify:

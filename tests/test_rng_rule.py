@@ -32,7 +32,6 @@ def test_the_scan_sees_every_drawing_function():
     drawing = [name for name, sig in SIGNATURES.items() if "rng" in sig.parameters]
     assert sorted(drawing) == [
         "newtonpoly.eval_oracle.adaptive_superset",
-        "newtonpoly.eval_oracle.bounding_polytope",
         "newtonpoly.eval_oracle.support_estimate",
         "newtonpoly.eval_oracle.vertex_query",
         "newtonpoly.reconstruct.EvalVertexOracle",
