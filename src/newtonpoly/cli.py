@@ -272,10 +272,29 @@ def _load_witness_setup(args, seed: int):
     return backend, line, consts, wcfg
 
 
+def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Point:
+    """The vertex for w or, while w is not general enough, for up to
+    ``facet_retries`` directions tilted inside w's normal cone as the facet
+    loop tilts an outer normal, so the answer still maximizes w."""
+    lcd = math.lcm(*(x.denominator for x in w))
+    u = [int(x * lcd) for x in w]
+    tries = rc.ReconstructConfig.facet_retries
+    direction = w
+    for attempt in range(tries + 1):
+        try:
+            return oracle.query(direction)
+        except rc.OracleIndeterminate:
+            if attempt == tries:
+                raise
+        direction = rc.facet_query_direction(u, oracle.coord_bound, rc.DIRECTION_BOUND, rng)
+
+
 def cmd_vertex(args) -> int:
     if not args.w:
         raise InputError("--w is required")
     w = _parse_fraction_vector(args.w[0])
+    if not any(w):
+        raise InputError("a direction must be nonzero")
     _check_double(w)
     rng = random.Random(args.seed)
     if args.backend == "eval":
@@ -286,23 +305,9 @@ def cmd_vertex(args) -> int:
         elif len(w) != n:
             raise InputError(f"direction has {len(w)} entries, expected {n}")
         if args.adaptive:
-            if not any(w):
-                raise InputError("a direction must be nonzero")
             oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
-            for attempt in range(8):
-                try:
-                    beta = oracle.query(w)
-                    h = oracle.support(w)
-                    break
-                except rc.OracleIndeterminate:
-                    if attempt == 7:
-                        raise
-                    # an extra support cut prunes box points that shadow the vertex
-                    try:
-                        probe = rc.random_direction(n, 3, rng)
-                        oracle.support(tuple(Fraction(x) for x in probe))
-                    except rc.OracleIndeterminate:
-                        pass
+            beta = _query_in_cone(oracle, w, rng)
+            h = oracle.support(w)
             record = {
                 "w": [str(x) for x in w],
                 "h": str(h),
@@ -339,7 +344,9 @@ def cmd_vertex(args) -> int:
     backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
     if len(w) != line.n:
         raise InputError(f"direction has {len(w)} entries, expected {line.n}")
-    cert = wo.witness_vertex_query(backend, line, consts, list(w), wcfg)
+    oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
+    _query_in_cone(oracle, w, wcfg.rng)
+    cert = oracle.certificates[-1]
     record = {
         "w": [str(x) for x in w],
         "h": str(sum(wi * bi for wi, bi in zip(w, cert.beta))),

@@ -92,22 +92,16 @@ class VertexAnswer:
 
 
 def min_gap(B: Sequence[Exponent], w: Sequence) -> DirectionGap:
-    """Smallest pairwise separation of {w . beta : beta in B}; exact for rational w."""
+    """Smallest pairwise separation of {w . beta : beta in B}, in exact arithmetic."""
     if len(B) < 2:
         raise ValueError("need at least two candidate exponents")
-    exact = all(isinstance(x, (int, Fraction)) for x in w)
-    if exact:
-        w_vec = [Fraction(x) for x in w]
-        dots = sorted(sum(wi * a for wi, a in zip(w_vec, beta)) for beta in B)
-        gap = min(b - a for a, b in zip(dots, dots[1:]))
-        if gap == 0:
-            raise NotGenericError(f"direction {tuple(w)} does not separate the candidates")
-        return DirectionGap(tuple(w), float(gap))
-    dots = sorted(sum(float(wi) * a for wi, a in zip(w, beta)) for beta in B)
+    if not all(isinstance(x, (int, Fraction)) for x in w):
+        raise TypeError("vertex queries need exact rational direction entries")
+    dots = sorted(sum(wi * a for wi, a in zip(w, beta)) for beta in B)
     gap = min(b - a for a, b in zip(dots, dots[1:]))
-    if gap < 1e-12:
+    if gap == 0:
         raise NotGenericError(f"direction {tuple(w)} does not separate the candidates")
-    return DirectionGap(tuple(w), gap)
+    return DirectionGap(tuple(w), float(gap))
 
 
 def threshold_t(bounds: EvalBounds, gap: DirectionGap) -> float:

@@ -66,9 +66,6 @@ class LatticePolytope:
                 return False
         return all(_dot(f.normal, p) <= f.offset for f in self.facets)
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers

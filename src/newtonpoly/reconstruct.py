@@ -12,7 +12,7 @@ for lower-dimensional polytopes, every affine-hull equality) is confirmed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,12 +39,6 @@ DIRECTION_BOUND = 5
 # ---------------------------------------------------------------------------
 # oracle adapters
 
-def _exact_key(w: Sequence) -> Tuple:
-    """w as an exact cache key: ints stay ints, other entries become Fractions.
-    Fraction(k) == k with the same hash, so both spellings share one entry."""
-    return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
-
-
 class EvalVertexOracle:
     """Vertex oracle backed by black-box evaluation.
 
@@ -53,8 +47,6 @@ class EvalVertexOracle:
     support values to build the candidate set, then identify vertices by their
     exact support value.
     """
-
-    kind = "eval"
 
     def __init__(self, slp: Slp, n: int, superset: Sequence[Exponent], rng: random.Random, bounds=None):
         self.slp = slp
@@ -66,6 +58,7 @@ class EvalVertexOracle:
         # candidates still compatible with every support cut seen so far;
         # the true support always survives, imposters get peeled away
         self._candidates = CutFilter(points.T)
+        # directions are exact (int or Fraction entries); Fraction(k) and k hash alike
         self._cache: Dict[Tuple, Point] = {}
         self._support_cache: Dict[Tuple, Fraction] = {}
 
@@ -92,7 +85,7 @@ class EvalVertexOracle:
         return oracle
 
     def query(self, w: Sequence) -> Point:
-        key = _exact_key(w)
+        key = tuple(w)
         if key in self._cache:
             return self._cache[key]
         if self.bounds is not None:
@@ -115,7 +108,7 @@ class EvalVertexOracle:
         return tuple(int(a[hits[0]]) for a in self._candidates.axes)
 
     def support(self, w: Sequence) -> Fraction:
-        key = _exact_key(w)
+        key = tuple(w)
         if key in self._support_cache:
             return self._support_cache[key]
         est = ev.support_estimate(self.slp, key, rng=self.rng)
@@ -129,8 +122,6 @@ class EvalVertexOracle:
 class WitnessVertexOracle:
     """Vertex oracle backed by witness-set path tracking."""
 
-    kind = "witness"
-
     def __init__(
         self,
         backend,
@@ -141,18 +132,17 @@ class WitnessVertexOracle:
         self.backend = backend
         self.line = line
         self.consts = consts
-        # the reconstruction driver does its own (cone-safe) retries
-        self.config = replace(config, retries=0)
+        self.config = config
         self.n = line.n
         self.coord_bound = max(1, line.degree)
         self._cache: Dict[Tuple, Point] = {}
         self.certificates: List[wo.VertexCertificate] = []
 
     def query(self, w: Sequence) -> Point:
-        key = _exact_key(w)
+        key = tuple(w)
         if key in self._cache:
             return self._cache[key]
-        cert = wo.witness_vertex_query(self.backend, self.line, self.consts, list(key), self.config)
+        cert = wo.witness_vertex_query(self.backend, self.line, self.consts, key, self.config)
         self.certificates.append(cert)
         self._cache[key] = cert.beta
         return cert.beta

@@ -632,16 +632,9 @@ def rate_params_from_support(
     coeff_mags: Sequence[float],
     w: Sequence[float],
     consts: LineConstants,
-    table_variant: bool = False,
     C: Optional[float] = None,
 ) -> RateParams:
-    """Exact certification parameters from a known exponent set.
-
-    ``table_variant`` reproduces the reference convergence tables: cluster radii
-    are replaced by their upper counterparts and the divergence exponent uses
-    the gap to the top-degree terms (the empirically observed growth rate)
-    instead of the worst-case gap.
-    """
+    """Exact certification parameters from a known exponent set."""
     dots = [sum(float(wi) * a for wi, a in zip(w, alpha)) for alpha in support]
     h = max(dots)
     face = [k for k, d in enumerate(dots) if d >= h - 1e-12]
@@ -662,16 +655,6 @@ def rate_params_from_support(
         slope_conv[i] = (h - max(relevant)) if relevant else None
     if C is None:
         C = max(coeff_mags) / coeff_mags[beta_idx]
-    if table_variant:
-        return RateParams(
-            gap_conv=gap_conv,
-            gap_div=gap_div_agg,
-            C=C,
-            n_terms=len(support),
-            gamma=consts.Gamma,
-            slope_conv=slope_conv,
-            slope_div=gap_div_agg,
-        )
     return RateParams(
         gap_conv=gap_conv,
         gap_div=gap_conv,  # worst-case exponent is certified for divergence too
@@ -687,11 +670,10 @@ def rate_params_from_sparse(
     poly: SparsePolynomial,
     w: Sequence[float],
     consts: LineConstants,
-    table_variant: bool = False,
     C: Optional[float] = None,
 ) -> RateParams:
     mags = [abs(_coeff_to_complex(coeff)) for coeff, _ in poly.terms]
-    return rate_params_from_support(poly.support(), mags, w, consts, table_variant, C=C)
+    return rate_params_from_support(poly.support(), mags, w, consts, C=C)
 
 
 def fitted_rate_params(
@@ -859,9 +841,8 @@ def verify_rates(
 
 @dataclass(kw_only=True)
 class WitnessConfig:
-    rng: random.Random  # draws the perturbation of a direction that is retried
+    rng: random.Random  # the command line's `vertex` draws its retry tilts from it
     t_max: float = 1e8
-    retries: int = 3
     rate_source: Optional[Callable] = None  # w -> RateParams
     C: Optional[float] = None
 
@@ -873,35 +854,18 @@ def witness_vertex_query(
     w: Sequence,
     config: WitnessConfig,
 ) -> VertexCertificate:
-    """Track, classify, and certify one direction; retry on a perturbed
-    direction when w turns out not to be general enough.
+    """Track, classify, and certify one exact rational direction.
 
-    A retry queries m*u + r: u is w scaled to integers, r a nonzero tilt in
-    {-1, 0, 1}^n and m = n * max(1, degree) + 1.  Exponents have entries in
-    [0, degree], so |r . (alpha - beta)| < m never reverses a gap of m*u and
-    the answer stays on the face that w exposes (the bound that
-    ``reconstruct.facet_query_direction`` uses).
+    A direction that is not general enough (ties, a rate violation, crossing
+    paths) raises an ``OracleIndeterminate`` subclass; the caller retries it
+    inside w's normal cone with ``reconstruct.facet_query_direction``.
     """
     if not all(isinstance(x, (int, Fraction)) for x in w):
         raise TypeError("witness queries need exact rational direction entries")
-    lcd = math.lcm(*(Fraction(x).denominator for x in w))
-    u = [int(x * lcd) for x in w]
-    m = line.n * max(1, line.degree) + 1
-    w_cur = list(w)
-    last: Optional[Exception] = None
-    for attempt in range(config.retries + 1):
-        try:
-            paths = track_paths(backend, line, [float(x) for x in w_cur], config.t_max)
-            cert = classify_paths(paths, line, consts)
-            if config.rate_source is not None:
-                rates = config.rate_source(w_cur)
-            else:
-                rates = fitted_rate_params(paths, cert, line, consts, C=config.C)
-            return verify_rates(paths, cert, consts, line, w_cur, rates)
-        except (IndeterminateError, RateViolationError, PathCrossingError) as exc:
-            last = exc
-            bump = [config.rng.choice((-1, 0, 1)) for _ in range(line.n)]
-            if not any(bump):
-                bump[config.rng.randrange(line.n)] = 1
-            w_cur = [m * ui + r for ui, r in zip(u, bump)]
-    raise IndeterminateError(f"no certifiable direction near {tuple(map(float, w))}: {last}")
+    paths = track_paths(backend, line, [float(x) for x in w], config.t_max)
+    cert = classify_paths(paths, line, consts)
+    if config.rate_source is not None:
+        rates = config.rate_source(w)
+    else:
+        rates = fitted_rate_params(paths, cert, line, consts, C=config.C)
+    return verify_rates(paths, cert, consts, line, w, rates)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from newtonpoly.eval_oracle import adaptive_superset
 from newtonpoly.numbers import GaussianRational
 from newtonpoly.polytope import LatticePolytope, convex_hull
 from newtonpoly.slp import SparsePolynomial, parse_sparse
+from newtonpoly.witness_oracle import rate_params_from_sparse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
 
@@ -94,3 +96,11 @@ def bounding_polytope(f, n: int, directions, rng: random.Random) -> LatticePolyt
     """
     points, _ = adaptive_superset(f, n, directions, rng)
     return convex_hull(points)
+
+
+def table_rates(poly, w, consts, C):
+    """The rates behind the reference convergence tables: the upper cluster
+    radii (Gamma), and the gap to the top-degree terms (the observed growth
+    rate) as the divergence exponent instead of the worst-case gap."""
+    rates = rate_params_from_sparse(poly, w, consts, C=C)
+    return replace(rates, gamma=consts.Gamma, gap_div=rates.slope_div)

@@ -32,7 +32,7 @@ from newtonpoly.witness_oracle import (
     track_paths,
     verify_rates,
 )
-from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse
+from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse, table_rates
 from test_polytope import brute_force_facets, hull_facets_in_projection
 
 DECADES = (1e2, 1e4, 1e6, 1e8)
@@ -63,7 +63,7 @@ def quad_tracking(quad_poly):
         start = time.perf_counter()
         paths = track_paths(backend, line, w, t_max=1e8, record_at=DECADES)
         cert = classify_paths(paths, line, consts)
-        rates = rate_params_from_sparse(quad_poly, w, consts, table_variant=True, C=5.0)
+        rates = table_rates(quad_poly, w, consts, C=5.0)
         cert = verify_rates(paths, cert, consts, line, w, rates)
         results[key] = {
             "paths": paths,

@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from newtonpoly import reconstruct as rc
 from newtonpoly import witness_oracle as wo
 from newtonpoly.cli import main
 from newtonpoly.reconstruct import ReconstructConfig
@@ -213,6 +215,51 @@ class TestVertex:
         assert code == 3
         assert "indeterminate: corrector stalled" in err
 
+    def test_adaptive_tie_is_retried_inside_the_normal_cone(self, capsys):
+        # (1, 1, 1) ties both terms of b^2 - 4ac; a tilt inside its cone picks one
+        code, out, _ = run_cli(
+            ["vertex", "--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"), "--adaptive", "--w", "1,1,1"],
+            capsys,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert tuple(record["vertex"]) in {(0, 2, 0), (1, 0, 1)} and record["h"] == "2"
+
+    @pytest.mark.parametrize(
+        "args, u",
+        [
+            (["--backend", "eval", "--sparse", str(FIXTURES / "disc.poly"), "--adaptive", "--w", "0,1/2,0"], (0, 1, 0)),
+            (["--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"), "--w", "0,1"], (0, 1)),
+        ],
+        ids=["eval", "witness"],
+    )
+    def test_retried_directions_are_facet_tilts(self, args, u, capsys, monkeypatch):
+        # every query after w's own is a facet_query_direction tilt of u, w
+        # scaled to integers, and no tilt entry is zero
+        asked, drawn = [], []
+        tilt = rc.facet_query_direction
+
+        def record_tilt(normal, coord_bound, r_bound, rng):
+            drawn.append((tuple(normal), coord_bound, r_bound, tilt(normal, coord_bound, r_bound, rng)))
+            return drawn[-1][-1]
+
+        def refuse(self, w):
+            asked.append(tuple(w))
+            raise rc.OracleIndeterminate("forced")
+
+        monkeypatch.setattr(rc, "facet_query_direction", record_tilt)
+        monkeypatch.setattr(rc.EvalVertexOracle, "query", refuse)
+        monkeypatch.setattr(rc.WitnessVertexOracle, "query", refuse)
+        code, _, err = run_cli(["vertex"] + args, capsys)
+        assert code == 3 and err == "indeterminate: forced\n"
+        w = tuple(Fraction(x) for x in args[-1].split(","))
+        assert asked == [w] + [d for *_, d in drawn]
+        assert len(drawn) == ReconstructConfig.facet_retries
+        for normal, coord_bound, r_bound, d in drawn:
+            assert normal == u
+            m = len(normal) * r_bound * coord_bound + 1
+            assert all(0 < abs(di - m * ui) <= r_bound for di, ui in zip(d, normal))
+
     def test_witness_retry_stays_on_the_exposed_face(self, capsys, tmp_path):
         # (1/20, 1/10) ties x^2 and y; seed 36 draws a retry tilt that, at
         # size 1/8, would expose the constant term and print h = 0
@@ -294,6 +341,8 @@ BAD_INPUTS = {
         {},
         ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "f1.poly"), "--w", "0,0,0,0,0,0"],
     ),
+    "vertex-bounds-direction-ties-candidates": ({}, DISC_VERTEX[:-1] + ["1,1,1"]),
+    "witness-vertex-zero-direction": (_quad_config(), WITNESS_VERTEX[:-1] + ["0,0"]),
     "vertex-t-below-1": ({}, DISC_VERTEX + ["--t", "0.5"]),
     "vertex-t-zero": ({}, DISC_VERTEX + ["--t", "0"]),
     "vertex-t-negative": ({}, DISC_VERTEX + ["--t", "-1"]),

@@ -38,7 +38,7 @@ class TestMinGap:
             min_gap([(1, 0), (0, 1)], (1, 1))
 
     def test_float_direction_guard(self):
-        with pytest.raises(NotGenericError):
+        with pytest.raises(TypeError):
             min_gap([(1, 0), (0, 1)], (1.0, 1.0 + 1e-14))
 
 

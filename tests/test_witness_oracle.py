@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from newtonpoly import witness_oracle as wo
+from newtonpoly.cli import main
 from newtonpoly.eval_oracle import EvalBounds, vertex_query
 from newtonpoly.numbers import GaussianRational
 from newtonpoly.polytope import convex_hull
@@ -38,7 +40,7 @@ from newtonpoly.witness_oracle import (
     verify_rates,
     witness_vertex_query,
 )
-from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse, rational_coefficient
+from conftest import FIXTURES, QUAD_LINE_A, QUAD_LINE_B, random_sparse, rational_coefficient, table_rates
 
 DECADES = (1e2, 1e4, 1e6, 1e8)
 
@@ -266,14 +268,14 @@ class TestClassify:
 class TestVerifyRates:
     def test_reference_convergence_bound_column(self, quad_setup):
         quad, backend, line, consts = quad_setup
-        rates = rate_params_from_sparse(quad, (1.0, 1.0), consts, table_variant=True, C=5.0)
+        rates = table_rates(quad, (1.0, 1.0), consts, C=5.0)
         assert rates.gap_conv == 1.0
         for t in DECADES:
             assert convergence_bound(consts, rates, 2, 0, t) == pytest.approx(1040.0 / t, rel=1e-9)
 
     def test_reference_divergence_bound_column(self, quad_setup):
         quad, backend, line, consts = quad_setup
-        rates = rate_params_from_sparse(quad, (-1.0, -1.0), consts, table_variant=True, C=5.0)
+        rates = table_rates(quad, (-1.0, -1.0), consts, C=5.0)
         assert rates.gap_div == 2.0
         for t in DECADES:
             assert divergence_bound(consts, rates, 2, t) == pytest.approx(t * t / 4160.0, rel=1e-9)
@@ -283,7 +285,7 @@ class TestVerifyRates:
         for w, variant in (((1.0, 1.0), True), ((-1.0, -1.0), True), ((1.0, 1.0), False)):
             paths = track_paths(backend, line, w, t_max=1e8)
             cert = classify_paths(paths, line, consts)
-            rates = rate_params_from_sparse(quad, w, consts, table_variant=variant, C=5.0)
+            rates = (table_rates if variant else rate_params_from_sparse)(quad, w, consts, C=5.0)
             done = verify_rates(paths, cert, consts, line, w, rates)
             assert all(done.rate_checks) and done.slopes_ok
 
@@ -360,31 +362,42 @@ class TestWitnessVertexQuery:
         done = verify_rates(paths, cert, consts, line, (1.0, 0.0), rates)
         assert all(done.rate_checks)
 
-    def test_indeterminate_direction_retries_and_certifies(self, quad_setup):
+    def test_indeterminate_direction_retries_and_certifies(self, quad_setup, tmp_path, capsys):
         quad, backend, line, consts = quad_setup
-        # (1, 2) exposes the edge between x^2 and y: ties force a perturbed retry
+        # (1, 2) exposes the edge between x^2 and y: the query itself is
+        # indeterminate, and the command's tilts inside the edge's cone certify
         cfg = WitnessConfig(
             rng=random.Random(5),
             rate_source=lambda w: rate_params_from_sparse(quad, [float(x) for x in w], consts),
         )
-        cert = witness_vertex_query(backend, line, consts, (1, 2), cfg)
-        assert sum(cert.beta) <= 2
+        with pytest.raises(IndeterminateError):
+            witness_vertex_query(backend, line, consts, (1, 2), cfg)
+        record = _quad_vertex_command(tmp_path, capsys, "1,2", seed=5)
+        assert tuple(record["vertex"]) in {(2, 0), (0, 1)} and record["h"] == "2"
 
-    def test_retries_stay_on_the_face_that_w_exposes(self, quad_setup):
-        quad, backend, line, consts = quad_setup
-        # (1/20, 1/10) ties x^2 and y at h = 1/10; seed 36 draws a tilt that,
-        # at size 1/8, would leave that edge's normal cone for the constant term
-        cfg = WitnessConfig(
-            rng=random.Random(36),
-            rate_source=lambda w: rate_params_from_sparse(quad, [float(x) for x in w], consts, C=5.0),
-        )
-        cert = witness_vertex_query(backend, line, consts, (Fraction(1, 20), Fraction(1, 10)), cfg)
-        assert cert.beta in {(2, 0), (0, 1)}
+    def test_retries_stay_on_the_face_that_w_exposes(self, tmp_path, capsys):
+        # (1/20, 1/10) ties x^2 and y at h = 1/10; tilts of size 1/8 once left
+        # that edge's normal cone for the constant term (seed 36) or ended
+        # indeterminate, on 7 of these 41 seeds
+        for seed in range(41):
+            record = _quad_vertex_command(tmp_path, capsys, "1/20,1/10", seed=seed)
+            assert tuple(record["vertex"]) in {(2, 0), (0, 1)} and record["h"] == "1/10", seed
 
     def test_float_directions_are_rejected(self, quad_setup):
         _, backend, line, consts = quad_setup
         with pytest.raises(TypeError):
             witness_vertex_query(backend, line, consts, (1.0, 1.0), WitnessConfig(rng=random.Random(0)))
+
+
+def _quad_vertex_command(tmp_path, capsys, w: str, seed: int) -> dict:
+    """`vertex --backend witness` on the quad line with known rates (C = 5);
+    the config seed draws the retry tilts."""
+    config = json.loads((FIXTURES / "quad_witness.json").read_text())
+    config.update(backend={"type": "sparse", "path": str(FIXTURES / "quad.poly")}, seed=seed)
+    (tmp_path / "w.json").write_text(json.dumps(config))
+    code = main(["vertex", "--backend", "witness", "--witness-config", str(tmp_path / "w.json"), "--w", w])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
 
 
 # ---------------------------------------------------------------------------
