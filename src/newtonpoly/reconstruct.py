@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eval_oracle as ev
 from . import witness_oracle as wo
-from .polytope import CutFilter, LatticePolytope, Point, _rank, _sub, convex_hull, support_function
+from .polytope import CutFilter, LatticePolytope, Point, _rank, _sub, convex_hull
 from .slp import Exponent, OracleIndeterminate, Slp
 
 
@@ -376,32 +376,3 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         complete=complete,
         query_log=log,
     )
-
-
-@dataclass
-class VerificationReport:
-    checked: int
-    indeterminate: int
-    discrepancies: List[Tuple[Tuple[int, ...], Point]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-
-def verify(P: LatticePolytope, oracle, k: int, rng: random.Random) -> VerificationReport:
-    """Spot-check a reconstructed polytope with k extra random directions."""
-    vertex_set = set(P.vertices)
-    discrepancies = []
-    indeterminate = 0
-    for _ in range(k):
-        w = random_direction(P.n, DIRECTION_BOUND, rng, candidates=P.vertices)
-        try:
-            beta = oracle.query(tuple(w))
-        except OracleIndeterminate:
-            indeterminate += 1
-            continue
-        best = support_function(P, w).value
-        if beta not in vertex_set or sum(wi * b for wi, b in zip(w, beta)) != best:
-            discrepancies.append((w, beta))
-    return VerificationReport(k, indeterminate, discrepancies)

@@ -5,10 +5,11 @@ straight-line program (SLP) is a sequence of input / constant / add / mul
 instructions that evaluates a polynomial without ever expanding it into
 monomials.  Every evaluation of f in the package runs one interpreter:
 each program is compiled once into a flat list of add/mul operations over a
-register file whose constants are already complex, and :func:`evaluate`
-(value) or :func:`evaluate_dir` (value and directional derivative) runs it
-on (complex mantissa, int exponent) pairs, which is what makes the huge
-stretch factors used by the vertex oracles safe.
+register file whose constants are already complex, computing only what the
+output reads and each repeated operation once, and :func:`evaluate` (value)
+or :func:`evaluate_dir` (value and directional derivative) runs it on
+(complex mantissa, int exponent) pairs, which is what makes the huge stretch
+factors used by the vertex oracles safe.
 """
 
 from __future__ import annotations
@@ -91,22 +92,6 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(a) for _, a in self.terms), default=0)
-
-    def eval_complex(self, xs: Sequence[complex]) -> complex:
-        """Direct term-by-term evaluation in plain complex arithmetic."""
-        if len(xs) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(xs)}")
-        total = 0j
-        for coeff, alpha in self.terms:
-            mono = _coeff_to_complex(coeff)
-            for x, a in zip(xs, alpha):
-                if a:
-                    mono *= x**a
-            total += mono
-        return total
-
 
 def parse_sparse(text: str) -> SparsePolynomial:
     """Parse the one-term-per-line format ``COEFF : e1 e2 ... en``.
@@ -183,21 +168,37 @@ class Slp:
         """The kernel's compiled form: (constants, operations, output slot).
 
         Slots 0..n-1 hold the inputs and the constants follow as pairs; each
-        operation (is_mul, j, k) appends one slot.
+        operation (is_mul, j, k) appends one slot.  Only what the output
+        depends on is compiled, and an add or mul whose (is_mul, j, k) was
+        already emitted reuses that slot (value numbering), so every value is
+        computed once and rounded exactly as the program's own instruction
+        would round it.  Operands are not reordered: with equal exponents
+        ``_add`` can give ``a + b`` and ``b + a`` zero parts of opposite sign.
+        Nor are constants merged: ``1 - 0j == 1 + 0j``, yet the two round a
+        product differently.
         """
-        n_const = sum(ins[0] == "const" for ins in self.instructions)
+        instructions = self.instructions
+        live = [False] * len(instructions)
+        live[self.output] = True
+        for idx in reversed(range(len(instructions))):
+            ins = instructions[idx]
+            if live[idx] and ins[0] in ("add", "mul"):
+                live[ins[1]] = live[ins[2]] = True
+        n_const = sum(used and ins[0] == "const" for used, ins in zip(live, instructions))
         consts: list = []
-        ops: list = []
-        slot: list = []
-        for ins in self.instructions:
+        ops: dict = {}  # (is_mul, j, k) -> its slot, in emission order
+        slot: dict = {}
+        for idx, ins in enumerate(instructions):
+            if not live[idx]:
+                continue
             if ins[0] == "in":
-                slot.append(ins[1])
+                slot[idx] = ins[1]
             elif ins[0] == "const":
-                slot.append(self.n + len(consts))
+                slot[idx] = self.n + len(consts)
                 consts.append(_pair(_coeff_to_complex(ins[1])))
             else:
-                slot.append(self.n + n_const + len(ops))
-                ops.append((ins[0] == "mul", slot[ins[1]], slot[ins[2]]))
+                op = (ins[0] == "mul", slot[ins[1]], slot[ins[2]])
+                slot[idx] = ops.setdefault(op, self.n + n_const + len(ops))
         return tuple(consts), tuple(ops), slot[self.output]
 
     @cached_property
@@ -286,8 +287,10 @@ def parse_slp(text: str) -> Slp:
 def sparse_to_slp(p: SparsePolynomial) -> Slp:
     """Compile a sparse polynomial into the obvious sum-of-products program.
 
-    Variable powers use repeated squaring; the instruction count is not
-    minimized, which keeps the translation auditable.
+    Variable powers use repeated squaring, and every term builds its powers
+    and its monomial afresh, which keeps the translation auditable.
+    ``Slp.code`` computes each repeated power and monomial prefix once (f5:
+    813 instructions, 367 compiled operations).
     """
     instructions: list = []
 
@@ -483,11 +486,6 @@ def evaluate_dir(f: Slp, xs: Sequence[Tuple[complex, int]], vs: Sequence[Tuple[c
         push((m, e, dm, de))
     m, e, dm, de = regs[out]
     return (m, e), (dm, de)
-
-
-def eval_complex(f: Slp, xs: Sequence[complex]) -> complex:
-    """Plain complex evaluation (no overflow protection; for small inputs)."""
-    return to_complex(evaluate(f, [(x, 0) for x in xs]))
 
 
 def scaled_point(t: float, w: Sequence[float], x: Sequence[complex]) -> list:

@@ -1,15 +1,17 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import List, Sequence, Tuple
 
 import pytest
 
 from newtonpoly.eval_oracle import adaptive_superset
 from newtonpoly.numbers import GaussianRational
-from newtonpoly.polytope import LatticePolytope, convex_hull
-from newtonpoly.slp import SparsePolynomial, parse_sparse
+from newtonpoly.polytope import LatticePolytope, Point, convex_hull, support_function
+from newtonpoly.reconstruct import DIRECTION_BOUND, OracleIndeterminate, random_direction
+from newtonpoly.slp import Slp, SparsePolynomial, evaluate, parse_sparse, to_complex
 from newtonpoly.witness_oracle import rate_params_from_sparse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "newtonpoly" / "fixtures"
@@ -104,3 +106,55 @@ def table_rates(poly, w, consts, C):
     rate) as the divergence exponent instead of the worst-case gap."""
     rates = rate_params_from_sparse(poly, w, consts, C=C)
     return replace(rates, gamma=consts.Gamma, gap_div=rates.slope_div)
+
+
+def eval_complex(f: Slp, xs: Sequence[complex]) -> complex:
+    """Plain complex evaluation of a program (no overflow protection; for small inputs)."""
+    return to_complex(evaluate(f, [(x, 0) for x in xs]))
+
+
+def sparse_eval_complex(p: SparsePolynomial, xs: Sequence[complex]) -> complex:
+    """Direct term-by-term evaluation in plain complex arithmetic."""
+    if len(xs) != p.n:
+        raise ValueError(f"expected {p.n} coordinates, got {len(xs)}")
+    total = 0j
+    for coeff, alpha in p.terms:
+        mono = coeff.to_complex() if isinstance(coeff, GaussianRational) else complex(coeff)
+        for x, a in zip(xs, alpha):
+            if a:
+                mono *= x**a
+        total += mono
+    return total
+
+
+def total_degree(p: SparsePolynomial) -> int:
+    return max((sum(a) for _, a in p.terms), default=0)
+
+
+@dataclass
+class VerificationReport:
+    checked: int
+    indeterminate: int
+    discrepancies: List[Tuple[Tuple[int, ...], Point]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.discrepancies
+
+
+def verify(P: LatticePolytope, oracle, k: int, rng: random.Random) -> VerificationReport:
+    """Spot-check a reconstructed polytope with k extra random directions."""
+    vertex_set = set(P.vertices)
+    discrepancies = []
+    indeterminate = 0
+    for _ in range(k):
+        w = random_direction(P.n, DIRECTION_BOUND, rng, candidates=P.vertices)
+        try:
+            beta = oracle.query(tuple(w))
+        except OracleIndeterminate:
+            indeterminate += 1
+            continue
+        best = support_function(P, w).value
+        if beta not in vertex_set or sum(wi * b for wi, b in zip(w, beta)) != best:
+            discrepancies.append((w, beta))
+    return VerificationReport(k, indeterminate, discrepancies)

@@ -32,7 +32,7 @@ from newtonpoly.witness_oracle import (
     track_paths,
     verify_rates,
 )
-from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse, table_rates
+from conftest import QUAD_LINE_A, QUAD_LINE_B, random_sparse, table_rates, total_degree
 from test_polytope import brute_force_facets, hull_facets_in_projection
 
 DECADES = (1e2, 1e4, 1e6, 1e8)
@@ -87,7 +87,7 @@ def corpus_runs():
     while len(trials) < 50 and attempts < 120:
         attempts += 1
         poly = random_sparse(rng, n_max=4, deg_max=6)
-        if poly.total_degree() > 6:
+        if total_degree(poly) > 6:
             continue
         expected = convex_hull(poly.support())
         oracle_e = EvalVertexOracle.adaptive(

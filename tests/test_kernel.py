@@ -3,6 +3,7 @@ against exact references."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newtonpoly.numbers import GaussianRational
-from newtonpoly.slp import Slp, evaluate, evaluate_dir, log_abs, parse_slp, scaled, to_complex
+from newtonpoly.slp import Slp, _pair, evaluate, evaluate_dir, log_abs, parse_slp, scaled, to_complex
 
 ADD = parse_slp("in 1\nin 2\nadd r1 r2")
 MUL = parse_slp("in 1\nin 2\nmul r1 r2")
@@ -149,3 +150,93 @@ def test_matches_mpmath(data):
             want = float(mpmath.log(abs(exact)))
             tol = 2 * float(slack * mag / abs(exact)) + 1e-15 * max(1.0, abs(want))
             assert log_abs(value) == pytest.approx(want, abs=tol)
+
+
+# ---------------------------------------------------------------------------
+# property: the value-numbered compile rounds exactly as the program does
+
+
+def _compile_each_instruction(f):
+    """The reference compile: one operation per add/mul instruction, dead
+    ones included, as an object ``evaluate`` and ``evaluate_dir`` accept."""
+    n_const = sum(ins[0] == "const" for ins in f.instructions)
+    consts, ops, slot = [], [], []
+    for ins in f.instructions:
+        if ins[0] == "in":
+            slot.append(ins[1])
+        elif ins[0] == "const":
+            slot.append(f.n + len(consts))
+            consts.append(_pair(ins[1].to_complex()))
+        else:
+            slot.append(f.n + n_const + len(ops))
+            ops.append((ins[0] == "mul", slot[ins[1]], slot[ins[2]]))
+    return SimpleNamespace(n=f.n, code=(tuple(consts), tuple(ops), slot[f.output]))
+
+
+def _with_repeats(f):
+    """The same polynomial with every add/mul computed twice: later
+    instructions read the first copy as left operand and the second as right
+    one, so both stay live.  An operand-swapped copy and a tail that nothing
+    reads are dead code."""
+    instructions, first, second = [], [], []
+    for ins in f.instructions:
+        if ins[0] in ("add", "mul"):
+            j, k = first[ins[1]], second[ins[2]]
+            instructions += [(ins[0], j, k), (ins[0], k, j), (ins[0], j, k)]
+            first.append(len(instructions) - 3)
+            second.append(len(instructions) - 1)
+        else:
+            instructions.append(ins)
+            first.append(len(instructions) - 1)
+            second.append(len(instructions) - 1)
+    out, size = second[f.output], len(instructions)
+    instructions += [("const", GaussianRational(Fraction(2))), ("mul", out, size), ("add", size + 1, out)]
+    return Slp(f.n, tuple(instructions), out)
+
+
+def _bits(*pairs):
+    # repr tells -0.0 from 0.0
+    return repr([(m.real, m.imag, e) for m, e in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_value_numbering_is_bit_identical(data):
+    f = data.draw(programs())
+    variant = _with_repeats(f)
+    # the repeats fold onto the first copy and the dead code is dropped, so
+    # the variant runs the same operations as the program, no more
+    assert variant.code == f.code
+    reference = _compile_each_instruction(f)
+    xs = data.draw(st.lists(pairs, min_size=f.n, max_size=f.n))
+    vs = data.draw(st.lists(pairs, min_size=f.n, max_size=f.n))
+    want_value = _bits(evaluate(reference, xs))
+    want_dir = _bits(*evaluate_dir(reference, xs, vs))
+    for program in (f, variant):
+        assert _bits(evaluate(program, xs)) == want_value
+        assert _bits(*evaluate_dir(program, xs, vs)) == want_dir
+
+
+class TestCompile:
+    def test_swapped_operands_are_not_shared(self):
+        # with equal exponents a + b and b + a can differ in the sign of a
+        # zero part, so the compile keeps both orders
+        a, b = (complex(-0.0, 5.0), 0), (complex(-0.0, -3.0), 0)
+        assert _bits(evaluate(ADD, [a, b])) != _bits(evaluate(ADD, [b, a]))
+        both = parse_slp("in 1\nin 2\nadd r1 r2\nadd r2 r1\nmul r3 r4")
+        assert len(both.code[1]) == 3
+
+    def test_equal_constants_stay_apart(self):
+        # 1 - 0j == 1 + 0j, yet they round a product differently
+        c_neg, c_pos = complex(1.0, -0.0), complex(1.0, 0.0)
+        instructions = (("in", 0), ("const", c_neg), ("const", c_pos), ("mul", 0, 1), ("mul", 0, 2), ("add", 3, 4))
+        x = [(complex(-1.0, -0.0), 0)]
+        by_neg, by_pos = (evaluate(Slp(1, instructions, out), x) for out in (3, 4))
+        assert _bits(by_neg) != _bits(by_pos)
+        both = Slp(1, instructions, 5)
+        assert len(both.code[0]) == 2 and len(both.code[1]) == 3
+
+    def test_only_live_instructions_compile(self):
+        program = parse_slp("in 1\nin 2\nconst 3\nmul r1 r3\nadd r1 r2\nmul r4 r4\nout r6")
+        consts, ops, out = program.code
+        assert len(consts) == 1 and ops == ((True, 0, 2), (True, 3, 3)) and out == 4

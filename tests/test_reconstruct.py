@@ -18,7 +18,6 @@ from newtonpoly.reconstruct import (
     facet_query_direction,
     random_direction,
     reconstruct,
-    verify,
 )
 from newtonpoly.slp import SparsePolynomial, sparse_to_slp
 from newtonpoly.witness_oracle import (
@@ -29,7 +28,7 @@ from newtonpoly.witness_oracle import (
     make_line,
     rate_params_from_sparse,
 )
-from conftest import random_sparse
+from conftest import random_sparse, verify
 
 
 class TestRandomDirection:

@@ -39,7 +39,6 @@ def test_the_scan_sees_every_drawing_function():
         "newtonpoly.reconstruct.EvalVertexOracle.from_bounds",
         "newtonpoly.reconstruct.facet_query_direction",
         "newtonpoly.reconstruct.random_direction",
-        "newtonpoly.reconstruct.verify",
         "newtonpoly.witness_oracle.WitnessConfig",
         "newtonpoly.witness_oracle.make_line",
     ]

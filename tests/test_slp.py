@@ -9,7 +9,6 @@ from newtonpoly.slp import (
     SlpParseError,
     SparseParseError,
     SparsePolynomial,
-    eval_complex,
     evaluate,
     evaluate_dir,
     log_abs,
@@ -20,7 +19,7 @@ from newtonpoly.slp import (
     sparse_to_slp,
     to_complex,
 )
-from conftest import random_sparse
+from conftest import eval_complex, random_sparse, sparse_eval_complex
 
 
 class TestParseSparse:
@@ -70,7 +69,7 @@ add r4 r7
         rng = random.Random(3)
         for _ in range(10):
             x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-            assert cmath.isclose(eval_complex(program, x), sparse.eval_complex(x), rel_tol=1e-12)
+            assert cmath.isclose(eval_complex(program, x), sparse_eval_complex(sparse, x), rel_tol=1e-12)
 
     def test_single_constant(self):
         program = parse_slp("const 5")
@@ -106,7 +105,7 @@ class TestSparseToSlp:
         for _ in range(10):
             x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
             got = eval_complex(program, x)
-            want = sparse.eval_complex(x)
+            want = sparse_eval_complex(sparse, x)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_zero_polynomial(self):
@@ -119,7 +118,7 @@ class TestSparseToSlp:
         for _ in range(10):
             x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
             got = eval_complex(program, x)
-            want = f1_poly.eval_complex(x)
+            want = sparse_eval_complex(f1_poly, x)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_random_agreement_at_100_points(self):
@@ -133,8 +132,18 @@ class TestSparseToSlp:
                     for _ in range(poly.n)
                 ]
                 got = eval_complex(program, x)
-                want = poly.eval_complex(x)
+                want = sparse_eval_complex(poly, x)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestCompiledSize:
+    def test_fixture_operation_counts_are_pinned(self, fixtures_dir):
+        # a regression in sharing shows up here first.  Compiled one operation
+        # per add/mul instruction, f5 read 745; the others were the same.
+        pinned = {"f1": 18, "f2": 18, "f3": 18, "f4": 18, "f5": 367, "disc": 4, "quad": 6}
+        for name, count in pinned.items():
+            program = sparse_to_slp(parse_sparse((fixtures_dir / f"{name}.poly").read_text()))
+            assert len(program.code[1]) == count, name
 
 
 class TestEvaluate:
@@ -242,7 +251,7 @@ class TestAsymptoticMagnitude:
             w = [rng.randint(-4, 4) for _ in range(poly.n)]
             x = [cmath.exp(2j * math.pi * rng.random()) for _ in range(poly.n)]
             face, h = restrict_to_face(poly, w)
-            fw = face.eval_complex(x)
+            fw = sparse_eval_complex(face, x)
             if abs(fw) < 1e-6:
                 continue
             t = 1e9

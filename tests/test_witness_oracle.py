@@ -40,7 +40,15 @@ from newtonpoly.witness_oracle import (
     verify_rates,
     witness_vertex_query,
 )
-from conftest import FIXTURES, QUAD_LINE_A, QUAD_LINE_B, random_sparse, rational_coefficient, table_rates
+from conftest import (
+    FIXTURES,
+    QUAD_LINE_A,
+    QUAD_LINE_B,
+    random_sparse,
+    rational_coefficient,
+    sparse_eval_complex,
+    table_rates,
+)
 
 DECADES = (1e2, 1e4, 1e6, 1e8)
 
@@ -178,7 +186,7 @@ def _term_sum_g_dg(poly, line, s, t, w):
                     if j != i:
                         partial *= p[j] ** aj
                 dg += partial * v[i]
-    return poly.eval_complex(p), dg
+    return sparse_eval_complex(poly, p), dg
 
 
 class TestBackends:
