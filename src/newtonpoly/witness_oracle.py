@@ -12,8 +12,10 @@ A :class:`WitnessLine` keeps its intersection points at t = 1, and
 the power law c t^g that escaping paths and paths settling onto an anchor
 ratio follow, and a secant elsewhere; Newton corrects to a tight tolerance
 only where a sample is recorded, and stops once quadratic convergence shows
-the remaining error to be negligible.  Hop guards against neighbouring and
-frozen paths reject a substep before a path can be captured by another root.
+the remaining error to be negligible.  The next substep follows from how far
+the last corrections landed from their predictions, and hop guards against
+neighbouring and frozen paths reject a substep before a path can be captured
+by another root.
 
 The tracker reads f only through a line backend's ``eval_ds``: the value of
 s -> f(t^w . (s a - b)) and its s-derivative, as kernel pairs.
@@ -367,6 +369,9 @@ FREEZE_ESCAPE = 1e12
 # a corrected point that travels more than this fraction of its distance to a
 # neighbouring path has likely been captured by that path's root
 HOP_FRACTION = 0.45
+# the prediction error, relative to the gap between predictions (or 1 + |s|
+# where that is smaller), that the step control aims each substep at
+TARGET = 0.2
 
 
 def track_paths(
@@ -383,13 +388,23 @@ def track_paths(
     the secant of the last substep elsewhere; the corrector is Newton in s,
     which stops at a relative step of 1e-12 on schedule points (1e-8 on the
     substeps between them) or earlier, once quadratic convergence puts the
-    remaining error below 1e-15.  A substep is rejected and halved when the
-    corrector fails or a path hops: it lands farther from its prediction than
-    0.45 of the gap between predictions, or travels farther than 0.45 of its
-    distance to a frozen path.  Paths deep inside a cluster ball or far beyond
-    the escape radius are frozen (their later samples repeat the frozen
-    value).  A pairwise merge guard runs over the active paths at every
-    schedule point; a merge retries once on a schedule twice as dense.
+    remaining error below 1e-15.
+
+    The first substep is capped by the degree and the size of w; each later
+    one is the last accepted substep scaled by (TARGET / e)^(1/2), clamped to
+    [1/4, 4], where e is the worst distance of a corrected point from its
+    prediction relative to the gap between predictions (or to 1 + |s| where
+    that is smaller).  The step is carried across schedule points; a substep
+    clipped to land on one never shrinks it.  A substep is rejected and halved
+    when the corrector fails or a path hops: it lands farther from its
+    prediction than 0.45 of the gap between predictions, or travels farther
+    than 0.45 of its distance to a frozen path.  A prediction that already
+    travels that far towards a frozen path is halved before it is corrected.
+
+    Paths deep inside a cluster ball or far beyond the escape radius are
+    frozen (their later samples repeat the frozen value).  A pairwise merge
+    guard runs over the active paths at every schedule point; a merge retries
+    once on a schedule twice as dense.
     """
     w_vec = [float(x) for x in w]
     for density in (1, 2):
@@ -430,12 +445,30 @@ def _predict(history, step: float, ratios, far: float, near: float) -> complex:
     return anchor + (s2 - anchor) * cmath.exp(rate * step)
 
 
+def _next_step(carried: float, taken: float, errors) -> float:
+    """The step in log t after an accepted substep of ``taken``, by the rule
+    in :func:`track_paths`, from one (distance from the prediction, scale)
+    pair per corrected path.  The square root is there because a secant or
+    power-law prediction misses by about the step squared.  A zero error
+    grows the step fourfold and an error on a zero scale shrinks it fourfold;
+    a substep clipped to land on a schedule point (``taken`` below
+    ``carried``) never shrinks the carried step.
+    """
+    worst = 0.0
+    for moved, scale in errors:
+        if moved > worst * scale:
+            worst = moved / scale if scale else math.inf
+    factor = 4.0 if worst == 0 else min(4.0, max(0.25, math.sqrt(TARGET / worst)))
+    return max(carried, factor * taken) if taken < carried else factor * taken
+
+
 def _track_once(backend, line, w_vec, t_max, record_at, density):
     """All paths advance in lockstep on a shared adaptive substep.
 
     Lockstep makes hops detectable: a corrected point that moved by a sizable
     fraction of the distance to the nearest other path has likely been
     captured by that path's root, so the substep is rejected and halved.
+    Accepted substeps set the next one through :func:`_next_step`.
     """
     schedule = _schedule(t_max, record_at, density)
     ratios = line.ratios()
@@ -450,6 +483,13 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
             return True
         return any(abs(s - r) < FREEZE_CLUSTER for r in ratios)
 
+    def runs_to_frozen(i: int, s: complex) -> bool:
+        """Whether s travels from path i's last point more than HOP_FRACTION
+        of its distance to a frozen path (and more than the noise)."""
+        to_frozen = min((abs(s_cur[i] - s_cur[j]) for j in range(count) if frozen[j]), default=math.inf)
+        travel = abs(s - s_cur[i])
+        return travel > HOP_FRACTION * to_frozen and travel > 1e-9 * (1.0 + abs(s))
+
     s_cur: List[complex] = list(line.roots)
     # the last accepted (log t, s) points of each path, at most three
     history: List[List[Tuple[float, complex]]] = [[(0.0, s)] for s in s_cur]
@@ -461,36 +501,28 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
     # no root can outrun its tracker: root log-velocities scale like the
     # largest dot product of w with the exponents
     dynamic_scale = sum(abs(x) for x in w_vec) * max(1, backend.slp.degree)
-    first_cap = min(LN2, 0.25 / (1.0 + dynamic_scale))
+    step = min(LN2, 0.25 / (1.0 + dynamic_scale))
 
     position = math.log(schedule[0])
     for t_next in schedule[1:]:
         end = math.log(t_next)
-        step = end - position
         failures = 0
         while position < end - 1e-15 and not all(frozen):
-            step = min(step, end - position)
-            for i in range(count):
-                if frozen[i]:
-                    continue
-                if len(history[i]) < 2:
-                    step = min(step, first_cap)
-                    continue
-                (x1, s1), (x2, s2) = history[i][-2:]
-                speed = abs(s2 - s1) / (x2 - x1)
-                if speed * step > 0.5 * (1.0 + abs(s2)):
-                    step = min(step, 0.5 * (1.0 + abs(s2)) / speed)
+            h = min(step, end - position)
             # only the substep that lands on the schedule point records a sample
-            tol = 1e-12 if position + step >= end - 1e-15 else 1e-8
+            tol = 1e-12 if position + h >= end - 1e-15 else 1e-8
             preds = [
-                s_cur[i] if frozen[i] or len(history[i]) < 2 else _predict(history[i], step, ratios, far, near)
+                s_cur[i] if frozen[i] or len(history[i]) < 2 else _predict(history[i], h, ratios, far, near)
                 for i in range(count)
             ]
-            t_new = math.exp(position + step)
+            # a prediction that already runs towards a frozen path's root is
+            # rejected before any correction is paid for
+            ok = not any(not frozen[i] and runs_to_frozen(i, preds[i]) for i in range(count))
+            t_new = math.exp(position + h)
             proposal: List[Optional[Tuple[complex, float]]] = [None] * count
-            ok = True
+            errors = []
             for i in range(count):
-                if frozen[i]:
+                if frozen[i] or not ok:
                     continue
                 corrected = _newton_correct(backend, line, w_vec, preds[i], t_new, tol)
                 if corrected is None:
@@ -506,17 +538,13 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
                 if moved > HOP_FRACTION * spacing and moved > noise:
                     ok = False  # landed suspiciously close to a neighbouring path
                     break
-                to_frozen = min(
-                    (abs(s_cur[i] - s_cur[j]) for j in range(count) if frozen[j]),
-                    default=math.inf,
-                )
-                travel = abs(s_new - s_cur[i])
-                if travel > HOP_FRACTION * to_frozen and travel > noise:
+                if runs_to_frozen(i, s_new):
                     ok = False  # ran towards a frozen path's root
                     break
                 proposal[i] = (s_new, rel)
+                errors.append((moved, min(spacing, 1.0 + abs(s_new))))
             if not ok:
-                step *= 0.5
+                step = 0.5 * h
                 failures += 1
                 if failures > 300 or step < 1e-13:
                     raise TrackingFailureError(
@@ -527,11 +555,11 @@ def _track_once(backend, line, w_vec, t_max, record_at, density):
                 if frozen[i]:
                     continue
                 s_new, rels[i] = proposal[i]
-                history[i] = (history[i] + [(position + step, s_new)])[-3:]
+                history[i] = (history[i] + [(position + h, s_new)])[-3:]
                 s_cur[i] = s_new
                 frozen[i] = is_frozen(s_new)
-            position += step
-            step *= 1.4
+            position += h
+            step = _next_step(step, h, errors)
         position = end
         active = [s_cur[i] for i in range(count) if not frozen[i]]
         for i in range(len(active)):

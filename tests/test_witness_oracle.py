@@ -510,7 +510,7 @@ class TestTrackerSoundness:
 
     def test_known_rate_reconstructions_are_never_complete_and_wrong(self):
         rng = random.Random(20261018)
-        checked = 0
+        checked = queries = indeterminate = 0
         for k in range(120):
             poly = _scan_polynomial(rng)
             backend = SparseLineBackend(poly)
@@ -523,7 +523,12 @@ class TestTrackerSoundness:
             report = reconstruct(WitnessVertexOracle(backend, line, consts, cfg), 2, ReconstructConfig(seed=k))
             assert not report.complete or report.polytope == convex_hull(poly.support()), k
             checked += 1
+            queries += report.queries
+            indeterminate += report.indeterminate
         assert checked >= 100
+        # a tracker change that moves any answer moves these sums; they were
+        # read before the error-driven step control, which left them as they were
+        assert (checked, queries, indeterminate) == (120, 1084, 39)
 
 
 class TestTrackerInvariants:
@@ -558,9 +563,32 @@ class TestTrackerInvariants:
     def test_eval_ds_per_track_is_pinned(self):
         # a change to the tracker's cost shows up here first.  With the secant
         # predictor, the confirming Newton step and the t = 1 roots solved
-        # again per track (7 evaluations), these read 277 and 255.
+        # again per track (7 evaluations), these read 277 and 255; with the
+        # power-law predictor under the speed cap 0.5(1 + |s|), 315 and 180.
         poly, _, line, _ = _seed_215_setup()
-        for w, pinned in (((25.0, 1.0), 315), ((1.0, 1.0), 180)):
+        for w, pinned in (((25.0, 1.0), 238), ((1.0, 1.0), 174)):
             backend = CountingBackend(poly)
             track_paths(backend, line, w)
             assert backend.calls == pinned, w
+
+
+class TestStepControl:
+    def test_zero_error_grows_the_step_fourfold(self):
+        assert wo._next_step(0.1, 0.1, [(0.0, 1.0), (0.0, 2.0)]) == pytest.approx(0.4)
+        assert wo._next_step(0.1, 0.1, []) == pytest.approx(0.4)
+
+    def test_error_sets_the_factor_within_its_clamp(self):
+        assert wo._next_step(0.1, 0.1, [(wo.TARGET, 1.0)]) == pytest.approx(0.1)
+        assert wo._next_step(0.1, 0.1, [(wo.TARGET / 4, 1.0), (wo.TARGET, 0.5)]) == pytest.approx(0.1 / math.sqrt(2))
+        assert wo._next_step(0.1, 0.1, [(1e-9 * wo.TARGET, 1.0)]) == pytest.approx(0.4)
+        assert wo._next_step(0.1, 0.1, [(1e3 * wo.TARGET, 1.0)]) == pytest.approx(0.025)
+
+    def test_zero_spacing_gives_a_finite_step(self):
+        assert wo._next_step(0.1, 0.1, [(0.0, 0.0)]) == pytest.approx(0.4)
+        assert wo._next_step(0.1, 0.1, [(1e-12, 0.0), (0.0, 1.0)]) == pytest.approx(0.025)
+
+    def test_a_clipped_substep_keeps_the_carried_step(self):
+        # a sliver that lands on a schedule point says little about the step
+        assert wo._next_step(0.5, 0.01, [(0.0, 1.0)]) == 0.5
+        assert wo._next_step(0.5, 0.01, [(1e3 * wo.TARGET, 1.0)]) == 0.5
+        assert wo._next_step(0.5, 0.2, [(0.0, 1.0)]) == pytest.approx(0.8)
