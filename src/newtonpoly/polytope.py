@@ -4,11 +4,12 @@ Everything here runs in exact arithmetic.  The hull and every rank step run
 in integers (fraction-free elimination, int64 dot products where a magnitude
 bound allows, Python integers otherwise); Fractions appear only in
 ``_solve_fraction``, the ``AffineIso`` witness and the rational directions
-``support_function`` and ``CutFilter.keep`` accept.  The incremental
-(beneath-beyond) hull inserts one point at a time, replacing the facets the
-point sees by the cone over the horizon; ties (point on a facet hyperplane)
-are handled by re-triangulating the touched facet, and non-extreme corners
-are filtered at the end by an exact tight-plane rank test.
+``support_function`` and ``CutFilter.keep`` accept.  The hull is a double
+description: facets are the extreme rays of the cone of valid inequalities,
+and each inserted point cuts that cone, combining every adjacent pair of
+facets on either side of it into a facet through it.  Facets are never
+triangulated, so degenerate polytopes (many points per facet) stay cheap.
+Vertices are the points whose tight facet normals have full rank.
 
 Lower-dimensional hulls are computed by projecting the affine hull onto an
 independent coordinate subset (a lattice-preserving bijection), hulling
@@ -234,49 +235,16 @@ def _solve_fraction(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fr
     return solution
 
 
-def _simplex_normal(points: Sequence[Point]) -> Optional[Point]:
-    """Primitive normal of the hyperplane through d points in Z^d (None if degenerate).
-
-    One fraction-free Gauss-Jordan elimination of the d-1 difference rows
-    leaves the last pivot p in every pivot column on its own row and zeros
-    elsewhere in that column.  The kernel vector is then p in the one free
-    column and minus the row's entry in the free column at each pivot column.
-    """
-    d = len(points[0])
-    base = points[0]
-    m = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    pivot_cols: List[int] = []
-    free: List[int] = []
-    prev = 1
-    for c in range(d):
-        r = len(pivot_cols)
-        for piv in range(r, d - 1):
-            if m[piv][c]:
-                break
-        else:
-            free.append(c)
-            if len(free) > 1:
-                return None
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i in range(d - 1):
-            if i != r:
-                a = m[i][c]
-                m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], pivot_row)]
-        prev = p
-        pivot_cols.append(c)
-    (f,) = free
-    normal = [0] * d
-    normal[f] = prev
-    for row, c in zip(m, pivot_cols):
-        normal[c] = -row[f]
-    return _primitive(normal)
-
-
 # ---------------------------------------------------------------------------
-# full-dimensional beneath-beyond
+# full-dimensional double description
+
+def _bits(mask: int):
+    """Indices of the set bits of a nonnegative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 def _initial_simplex(pts: Sequence[Point], d: int) -> List[int]:
     basis = _RowBasis(d)
@@ -292,108 +260,93 @@ def _initial_simplex(pts: Sequence[Point], d: int) -> List[int]:
 def _hull_fulldim(pts: List[Point], d: int):
     """Facet planes and vertex indices of the hull of full-dimensional pts.
 
-    Facets are kept as oriented simplices (index sets of size d) glued along
-    ridges; coplanar simplices triangulating one geometric facet are merged
-    when reporting planes.  Each facet carries its exact dot products with
-    all of pts, computed once when it is created; every later test of a point
-    against the facet reads that list.
+    Double description on the homogenized cone: a facet ``normal . x <=
+    offset`` is an extreme ray of the cone of valid inequalities, and each
+    facet keeps its exact slack ``offset - normal . p`` at every point.
+    Inserting a point p splits the facets by the sign of their slack s at p;
+    each adjacent pair (f+, f-) of opposite signs yields the facet
+    ``s+ * f- - s- * f+`` through p, and the facets with p outside go.  Zero
+    sets (over the points inserted so far) and the facets through each point
+    are integer bitsets: f+ and f- are adjacent when their common zero set
+    holds at least d-1 points and no third facet contains it.
     """
     simplex = _initial_simplex(pts, d)
-    # d+1 times the simplex centroid, an interior point with integer entries
-    ref = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
     # object dtype keeps any entry exact; CutFilter stores int64 when they fit
     points = CutFilter(np.array(pts, dtype=object).T)
+    done = np.zeros(len(pts), dtype=bool)
+    done[simplex] = True
+    facets: dict = {}  # id -> (normal, offset, slack at every point)
+    zeros: dict = {}  # id -> bitset of the inserted points on the facet
+    incident = [0] * len(pts)  # point -> bitset of the ids of facets through it
+    free: List[int] = []  # ids of deleted facets, reused to keep the bitsets short
 
-    facets: dict = {}  # id -> (normal, offset, corners, dots with every point)
-    ridge_map: dict = {}
-    next_id = 0
+    def add_facet(normal: Point, offset: int, zero_set: int) -> None:
+        # with no free id, the live ids are exactly 0 .. len(facets) - 1
+        fid = free.pop() if free else len(facets)
+        slack = offset - points.dots(normal)
+        # exactness guard: the plane must support every inserted point
+        if (slack[done] < 0).any():
+            raise HullError("hull insertion produced an unsupported plane")
+        facets[fid] = (normal, offset, slack.tolist())
+        zeros[fid] = zero_set
+        for i in _bits(zero_set):
+            incident[i] |= 1 << fid
 
-    def orient(normal: Point, offset: int) -> Tuple[Point, int]:
-        r = _dot(normal, ref)
-        if r == (d + 1) * offset:
-            raise HullError("reference point lies on a facet hyperplane")
-        if r > (d + 1) * offset:
-            return tuple(-x for x in normal), -offset
-        return normal, offset
+    for omit in simplex:
+        corners = [i for i in simplex if i != omit]
+        base = pts[corners[0]]
+        (normal,) = _int_kernel([_sub(pts[i], base) for i in corners[1:]], d)
+        offset = _dot(normal, base)
+        if _dot(normal, pts[omit]) > offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        add_facet(normal, offset, sum(1 << i for i in corners))
 
-    def add_facet(corners: frozenset) -> None:
-        nonlocal next_id
-        pts_list = [pts[i] for i in sorted(corners)]
-        normal = _simplex_normal(pts_list)
-        if normal is None:
-            return
-        normal, offset = orient(normal, _dot(normal, pts_list[0]))
-        fid = next_id
-        next_id += 1
-        facets[fid] = (normal, offset, corners, points.dots(normal).tolist())
-        for drop in corners:
-            ridge_map.setdefault(corners - {drop}, []).append(fid)
-
-    def remove_facet(fid: int) -> None:
-        corners = facets.pop(fid)[2]
-        for drop in corners:
-            ridge = corners - {drop}
-            ridge_map[ridge].remove(fid)
-            if not ridge_map[ridge]:
-                del ridge_map[ridge]
-
-    for subset in itertools.combinations(simplex, d):
-        add_facet(frozenset(subset))
-
-    order = [i for i in range(len(pts)) if i not in simplex]
-    for ip in order:
-        strict = False
-        visible = []
-        for fid, (_, offset, _, dots) in facets.items():
-            s = dots[ip]
-            if s > offset:
-                strict = True
-                visible.append(fid)
-            elif s == offset:
-                visible.append(fid)
-        if not strict:
-            continue  # p already inside (or on the boundary of) the hull
-        visible_set = set(visible)
-        horizon = []
-        for fid in visible:
-            corners = facets[fid][2]
-            for drop in corners:
-                ridge = corners - {drop}
-                partners = [g for g in ridge_map[ridge] if g != fid]
-                if all(g in visible_set for g in partners):
-                    continue
-                horizon.append(ridge)
-        for fid in visible:
-            remove_facet(fid)
+    for ip in range(len(pts)):
+        if done[ip]:
+            continue
+        done[ip] = True
+        sigma = {fid: f[2][ip] for fid, f in facets.items()}
+        neg = [fid for fid, s in sigma.items() if s < 0]
+        pos = 0  # bitset of the facets with positive slack at p
+        for fid, s in sigma.items():
+            if s > 0:
+                pos |= 1 << fid
+            elif s == 0:
+                zeros[fid] |= 1 << ip
+                incident[ip] |= 1 << fid
         fresh = []
-        for ridge in set(horizon):
-            before = next_id
-            add_facet(ridge | {ip})
-            if next_id != before:
-                fresh.append(before)
-        # exactness guard: new planes must support every live corner
-        # (kept facets already had p on their non-positive side)
-        corner_ids = set().union(*(f[2] for f in facets.values()))
-        for fid in fresh:
-            _, offset, _, dots = facets[fid]
-            if max(map(dots.__getitem__, corner_ids)) > offset:
-                raise HullError("hull insertion produced an unsupported plane")
+        for g in neg:
+            # reach[c]: the facets of pos through at least c points of g seen
+            # so far; a facet adjacent to g shares at least d-1 of them
+            reach = [pos] + [0] * (d - 1)
+            for i in _bits(zeros[g]):
+                for c in range(d - 1, 0, -1):
+                    reach[c] |= reach[c - 1] & incident[i]
+            for f in _bits(reach[d - 1]):
+                common = zeros[f] & zeros[g]
+                pair = (1 << f) | (1 << g)
+                through = -1
+                for i in _bits(common):
+                    through &= incident[i]
+                    if through == pair:
+                        a, b = sigma[f], -sigma[g]
+                        normal = _primitive([a * x + b * y for x, y in zip(facets[g][0], facets[f][0])])
+                        fresh.append((normal, common | 1 << ip))
+                        break
+        for g in neg:
+            del facets[g]
+            free.append(g)
+            for i in _bits(zeros.pop(g)):
+                incident[i] &= ~(1 << g)
+        for normal, zero_set in fresh:
+            add_facet(normal, _dot(normal, pts[ip]), zero_set)
 
-    planes: dict = {}  # (normal, offset) -> (members, dots with every point)
-    for normal, offset, corners, dots in facets.values():
-        planes.setdefault((normal, offset), (set(), dots))[0].update(corners)
-
-    candidates = set().union(*(f[2] for f in facets.values()))
-    tight_normals = {i: [] for i in candidates}
-    for (normal, offset), (members, dots) in planes.items():
-        for i in candidates:
-            if dots[i] == offset:
-                members.add(i)
-                tight_normals[i].append(normal)
-    vertex_ids = {i for i in candidates if _rank(tight_normals[i]) == d}
+    vertex_ids = {
+        i for i, through in enumerate(incident) if through and _rank(facets[f][0] for f in _bits(through)) == d
+    }
     facet_list = [
-        (normal, offset, tuple(sorted(members & vertex_ids)))
-        for (normal, offset), (members, _) in planes.items()
+        (normal, offset, tuple(i for i in _bits(zeros[fid]) if i in vertex_ids))
+        for fid, (normal, offset, _) in facets.items()
     ]
     return facet_list, vertex_ids
 
@@ -745,7 +698,7 @@ def from_json(text: str) -> LatticePolytope:
         raise PolytopeInputError(f"bad polytope JSON: {exc}") from exc
     P = convex_hull(vertices)
     declared = payload.get("facets")
-    if declared:
+    if declared is not None:
         got = {(tuple(f.normal), f.offset) for f in P.facets}
         want = set()
         try:

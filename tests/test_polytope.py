@@ -2,11 +2,14 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from newtonpoly.polytope import (
     Facet,
@@ -188,6 +191,57 @@ class TestConvexHull:
                 assert frac_rank(diffs) == P.dim - 1
             for p in pts:
                 assert P.contains(p)
+
+
+def birkhoff(k):
+    """Vertices of the Birkhoff polytope B_k: the k x k permutation matrices."""
+    return [
+        tuple(int(perm[i] == j) for i in range(k) for j in range(k))
+        for perm in itertools.permutations(range(k))
+    ]
+
+
+# (points, vertices, facets, dim, equalities, vertices per facet).  B_k has k!
+# vertices and k^2 facets x_ij >= 0, each holding the (k-1) (k-1)! permutations
+# that avoid one entry; its row and column sums give 2k-1 independent
+# equalities.  Both are far from simplicial.
+DEGENERATE_CASES = {
+    "B3": (birkhoff(3), 6, 9, 4, 5, 4),
+    "B4": (birkhoff(4), 24, 16, 9, 7, 18),
+    "B5": (birkhoff(5), 120, 25, 16, 9, 96),
+    "cube-0..2^4": (list(itertools.product(range(3), repeat=4)), 16, 8, 4, 0, 8),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_CASES.values(), ids=DEGENERATE_CASES)
+def test_degenerate_polytope_counts(case):
+    points, n_vertices, n_facets, dim, n_equalities, facet_size = case
+    start = time.perf_counter()
+    P = convex_hull(points)
+    assert time.perf_counter() - start < 1.0
+    assert (len(P.vertices), len(P.facets), P.dim, len(P.equalities)) == (
+        n_vertices,
+        n_facets,
+        dim,
+        n_equalities,
+    )
+    assert all(len(f.vertices) == facet_size for f in P.facets)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_general_position_hull_matches_qhull(seed):
+    # larger than brute force reaches: 15-40 points in 4-6 dimensions
+    rng = random.Random(seed)
+    d = 4 + seed % 3
+    pts = [tuple(rng.randint(-40, 40) for _ in range(d)) for _ in range(rng.randint(15, 40))]
+    P = convex_hull(pts)
+    assert P.dim == d
+    for f in P.facets:
+        values = [sum(a * b for a, b in zip(f.normal, p)) for p in pts]
+        assert max(values) == f.offset
+        assert sum(sum(a * b for a, b in zip(f.normal, v)) == f.offset for v in P.vertices) >= d
+    arr = np.asarray(pts, dtype=float)
+    assert set(P.vertices) == {pts[i] for i in ConvexHull(arr).vertices}
 
 
 @st.composite
@@ -403,3 +457,14 @@ class TestJson:
     def test_rejects_garbage(self):
         with pytest.raises(PolytopeInputError):
             from_json("{}")
+
+    def test_rejects_empty_facet_list(self):
+        # an empty list is a declaration too: a triangle has three facets
+        payload = json.loads(to_json(convex_hull([(0, 0), (1, 0), (0, 1)])))
+        payload["facets"] = []
+        with pytest.raises(PolytopeInputError):
+            from_json(json.dumps(payload))
+
+    def test_point_has_no_facets(self):
+        P = convex_hull([(2, 3)])
+        assert from_json(to_json(P)) == P
