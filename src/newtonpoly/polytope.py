@@ -2,14 +2,18 @@
 
 Everything here runs in exact arithmetic.  The hull and every rank step run
 in integers (fraction-free elimination, int64 dot products where a magnitude
-bound allows, Python integers otherwise); Fractions appear only in
-``_solve_fraction``, the ``AffineIso`` witness and the rational directions
-``support_function`` and ``CutFilter.keep`` accept.  The hull is a double
-description: facets are the extreme rays of the cone of valid inequalities,
-and each inserted point cuts that cone, combining every adjacent pair of
-facets on either side of it into a facet through it.  Facets are never
-triangulated, so degenerate polytopes (many points per facet) stay cheap.
-Vertices are the points whose tight facet normals have full rank.
+bound allows, Python integers otherwise), and so does the lattice algebra:
+one unimodular column reduction (``_reduce``) gives kernels, the affine-hull
+equalities in Hermite normal form, and the lattice coordinates and integer
+witness of the isomorphism test.  Fractions appear only in the rational
+directions that ``support_function`` and ``CutFilter.keep`` accept.
+
+The hull is a double description: facets are the extreme rays of the cone
+of valid inequalities, and each inserted point cuts that cone, combining
+every adjacent pair of facets on either side of it into a facet through it.
+Facets are never triangulated, so degenerate polytopes (many points per
+facet) stay cheap.  Vertices are the points whose tight facet normals have
+full rank.
 
 Lower-dimensional hulls are computed by projecting the affine hull onto an
 independent coordinate subset (a lattice-preserving bijection), hulling
@@ -23,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -86,15 +90,6 @@ def _primitive(vec: Sequence[int]) -> Point:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in vec)
-
-
-def _canonical_sign(vec: Point) -> Point:
-    for x in vec:
-        if x > 0:
-            return vec
-        if x < 0:
-            return tuple(-y for y in vec)
-    return vec
 
 
 class _RowBasis:
@@ -170,12 +165,32 @@ def _int_det(mat: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _int_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Point]:
-    """Basis of the saturated integer kernel {x in Z^n : row . x = 0 for all rows}."""
-    cols = [[row[j] for row in rows] for j in range(n)]
-    transform = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+def _reduce(rows: Sequence[Sequence[int]], n: int):
+    """Column Hermite form of the integer matrix A with these rows (n columns).
+
+    A unimodular U brings A to ``A @ U``, whose columns from the rank r on are
+    zero and whose column j < r has a positive pivot (its first nonzero entry)
+    below the pivots of the columns before it, every earlier column's entry in
+    the pivot's row lying in [0, pivot).  Returns r, the columns of ``A @ U``,
+    the columns of U and the rows of U^-1:
+    - U's columns from r on are a basis of the saturated kernel {x in Z^n :
+      row . x = 0 for all rows};
+    - the rows of U^-1 before r are a basis of the saturated row lattice
+      span_Q(rows) ∩ Z^n, and column j < r of ``A @ U`` holds every row's
+      coordinate on basis row j (an integer x in that lattice has coordinates
+      ``x . U[j]``).
+    """
+    m = len(rows)
+    # column j of the stacked matrix [A; I] becomes column j of [A @ U; U]
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    v = [[int(i == j) for i in range(n)] for j in range(n)]  # rows of U^-1
+
+    def subtract(j, k, q):  # column j -= q * column k
+        cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
+        v[k] = [a + q * b for a, b in zip(v[k], v[j])]
+
     c = 0
-    for r in range(len(rows)):
+    for r in range(m):
         while True:
             nz = [j for j in range(c, n) if cols[j][r] != 0]
             if not nz:
@@ -183,7 +198,14 @@ def _int_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Point]:
             if len(nz) == 1:
                 j = nz[0]
                 cols[c], cols[j] = cols[j], cols[c]
-                transform[c], transform[j] = transform[j], transform[c]
+                v[c], v[j] = v[j], v[c]
+                if cols[c][r] < 0:
+                    cols[c] = [-x for x in cols[c]]
+                    v[c] = [-x for x in v[c]]
+                for k in range(c):
+                    q = cols[k][r] // cols[c][r]
+                    if q:
+                        subtract(k, c, q)
                 c += 1
                 break
             j0 = min(nz, key=lambda j: abs(cols[j][r]))
@@ -192,47 +214,22 @@ def _int_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Point]:
                     continue
                 q = cols[j][r] // cols[j0][r]
                 if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[j0])]
-                    transform[j] = [a - q * b for a, b in zip(transform[j], transform[j0])]
-    return [tuple(transform[j]) for j in range(c, n)]
+                    subtract(j, j0, q)
+    return c, [col[:m] for col in cols], [col[m:] for col in cols], v
 
 
-def _saturation_basis(diffs: Sequence[Point], n: int) -> List[Point]:
-    """Basis of span_Q(diffs) intersected with Z^n."""
-    normals = _int_kernel(diffs, n)
-    return _int_kernel(normals, n)
+def _int_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Point]:
+    """Basis of the saturated integer kernel {x in Z^n : row . x = 0 for all rows}."""
+    rank, _, u, _ = _reduce(rows, n)
+    return [tuple(col) for col in u[rank:]]
 
 
-def _solve_fraction(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
-    """Exact solve of a (possibly overdetermined) consistent system; None if inconsistent."""
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][n_cols]:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = m[row_idx][n_cols]
-    if len(pivots) < n_cols:
-        return None  # underdetermined; callers always pass full-rank systems
-    return solution
+def _hermite(basis: Sequence[Sequence[int]], n: int) -> List[Point]:
+    """Row Hermite normal form of the lattice spanned by integer rows of width
+    n: positive pivots, rows in pivot order, each entry above a pivot in
+    [0, pivot).  Dependent input leaves zero rows at the end."""
+    _, h, _, _ = _reduce([[b[j] for b in basis] for j in range(n)], len(basis))
+    return [tuple(row) for row in h]
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +396,15 @@ def convex_hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     else:
         pts.sort()
 
-    if len(pts) == 1:
-        p = pts[0]
-        eqs = tuple(
-            (tuple(1 if j == i else 0 for j in range(n)), p[i]) for i in range(n)
-        )
-        return LatticePolytope(n, 0, (p,), (), eqs)
-
     origin = pts[0]
-    diffs = [_sub(p, origin) for p in pts[1:]]
     basis = _RowBasis(n)
-    for drow in diffs:
-        basis.add(drow)
+    for p in pts[1:]:
+        basis.add(_sub(p, origin))
     dim = basis.rank
-
-    equalities = tuple(
-        sorted(
-            (_canonical_sign(_primitive(u)), _dot(_canonical_sign(_primitive(u)), origin))
-            for u in _int_kernel(diffs, n)
-        )
-    )
+    # the saturated kernel of a row basis is that of every difference
+    equalities = tuple((normal, _dot(normal, origin)) for normal in _hermite(_int_kernel(basis.rows, n), n))
+    if dim == 0:
+        return LatticePolytope(n, 0, (origin,), (), equalities)
 
     # choose an independent coordinate subset for a lattice-preserving projection
     col_basis = _RowBasis(basis.rank)
@@ -548,31 +534,30 @@ def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
 
 @dataclass(frozen=True)
 class AffineIso:
-    """Witness for a lattice-affine isomorphism: x -> matrix @ x + translation."""
+    """Witness for a lattice-affine isomorphism: x -> matrix @ x + translation,
+    all integer."""
 
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    translation: Tuple[Fraction, ...]
+    matrix: Tuple[Tuple[int, ...], ...]
+    translation: Tuple[int, ...]
 
-    def apply(self, point: Sequence[int]) -> Tuple[Fraction, ...]:
+    def apply(self, point: Sequence[int]) -> Tuple[int, ...]:
         return tuple(
             _dot(row, point) + t for row, t in zip(self.matrix, self.translation)
         )
 
 
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[Point]:
+    return [tuple(_dot(row, col) for col in zip(*b)) for row in a]
+
+
 def _lattice_coordinates(vertices: Sequence[Point], n: int):
+    """The first vertex, a basis of the lattice of the affine hull (rows), the
+    rows that read a lattice vector's coordinates on it, and the coordinates of
+    every vertex's difference from the first."""
     origin = vertices[0]
-    diffs = [_sub(v, origin) for v in vertices]
-    basis = _saturation_basis(diffs, n)
-    coords = []
-    for d in diffs:
-        if not basis:
-            coords.append(())
-            continue
-        sol = _solve_fraction([[b[i] for b in basis] for i in range(n)], d)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise HullError("difference vector outside the saturated lattice")
-        coords.append(tuple(int(x) for x in sol))
-    return origin, basis, coords
+    rank, cols, u, v = _reduce([_sub(p, origin) for p in vertices], n)
+    coords = [tuple(col[i] for col in cols[:rank]) for i in range(len(vertices))]
+    return origin, v[:rank], u[:rank], coords
 
 
 def affinely_isomorphic(P: LatticePolytope, Q: LatticePolytope):
@@ -580,99 +565,57 @@ def affinely_isomorphic(P: LatticePolytope, Q: LatticePolytope):
 
     The map must be unimodular on the lattice of the affine hull.  Images of
     an affine basis of P's vertices are enumerated exhaustively, which is fine
-    at the vertex counts that occur here.
+    at the vertex counts that occur here.  Everything runs in integers: the
+    linear part M solves ``delta_p @ M^T = delta_q`` as ``adj(delta_p) @
+    delta_q / det(delta_p)``, and is unimodular exactly when it is integral
+    and ``|det delta_q| == |det delta_p|``.
     """
     if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
         return False, None
     dim = P.dim
     if dim == 0:
-        zero = tuple(tuple(Fraction(0) for _ in range(P.n)) for _ in range(Q.n))
-        return True, AffineIso(zero, tuple(Fraction(x) for x in Q.vertices[0]))
+        return True, AffineIso(tuple((0,) * P.n for _ in range(Q.n)), Q.vertices[0])
 
-    p_origin, p_basis, p_coords = _lattice_coordinates(P.vertices, P.n)
-    q_origin, q_basis, q_coords = _lattice_coordinates(Q.vertices, Q.n)
+    p_origin, _, p_read, p_coords = _lattice_coordinates(P.vertices, P.n)
+    q_origin, q_basis, _, q_coords = _lattice_coordinates(Q.vertices, Q.n)
     q_coord_set = set(q_coords)
 
+    # p_coords[0] is zero: P's first vertex is the origin of its coordinates
     basis_rows = _RowBasis(dim)
-    anchor = [0]
-    for i in range(1, len(p_coords)):
-        if basis_rows.add(_sub(p_coords[i], p_coords[0])):
-            anchor.append(i)
-            if len(anchor) == dim + 1:
+    delta_p = []
+    for y in p_coords[1:]:
+        if basis_rows.add(y):
+            delta_p.append(y)
+            if len(delta_p) == dim:
                 break
-    delta_p = [_sub(p_coords[i], p_coords[anchor[0]]) for i in anchor[1:]]
+    det_p = _int_det(delta_p)
+    # adj(delta_p)[i][j] is the signed minor without row j and column i
+    adj_p = [
+        [(-1) ** (i + j) * _int_det([row[:i] + row[i + 1 :] for k, row in enumerate(delta_p) if k != j])
+         for j in range(dim)]
+        for i in range(dim)
+    ]
 
     for image in itertools.permutations(range(len(q_coords)), dim + 1):
-        delta_q = [_sub(q_coords[image[k + 1]], q_coords[image[0]]) for k in range(dim)]
-        # solve M @ delta_p[k] = delta_q[k]; columns of the system are delta_p
-        mat_rows = []
-        ok = True
-        for r in range(dim):
-            sol = _solve_fraction(
-                [list(dp) for dp in delta_p], [dq[r] for dq in delta_q]
-            )
-            if sol is None:
-                ok = False
-                break
-            mat_rows.append(sol)
-        if not ok:
-            continue
-        if any(x.denominator != 1 for row in mat_rows for x in row):
-            continue
-        m_int = [[int(x) for x in row] for row in mat_rows]
-        if abs(_int_det(m_int)) != 1:
-            continue
-        y0 = p_coords[anchor[0]]
         z0 = q_coords[image[0]]
-        mapped = set()
-        for y in p_coords:
-            rel = _sub(y, y0)
-            mapped.add(tuple(_dot(row, rel) + z for row, z in zip(m_int, z0)))
+        delta_q = [_sub(q_coords[i], z0) for i in image[1:]]
+        if abs(_int_det(delta_q)) != abs(det_p):
+            continue
+        m_t = _matmul(adj_p, delta_q)
+        if any(x % det_p for row in m_t for x in row):
+            continue
+        m = [tuple(x // det_p for x in col) for col in zip(*m_t)]
+        mapped = {tuple(_dot(row, y) + z for row, z in zip(m, z0)) for y in p_coords}
         if mapped != q_coord_set:
             continue
-        witness = _ambient_witness(
-            P.n, Q.n, p_origin, p_basis, q_origin, q_basis, m_int, y0, z0
+        # ambient map x -> q_origin + B_Q^T (z0 + M read_P(x - p_origin))
+        basis_t = list(zip(*q_basis))
+        linear = _matmul(basis_t, _matmul(m, p_read))
+        translation = tuple(
+            o + _dot(b, z0) - _dot(row, p_origin) for o, b, row in zip(q_origin, basis_t, linear)
         )
-        return True, witness
+        return True, AffineIso(tuple(linear), translation)
     return False, None
-
-
-def _ambient_witness(n_p, n_q, p_origin, p_basis, q_origin, q_basis, m_int, y0, z0):
-    dim = len(m_int)
-    gram = [[_dot(p_basis[i], p_basis[j]) for j in range(dim)] for i in range(dim)]
-    # rows of (B_P B_P^T)^{-1} B_P give lattice coordinates of x - p_origin
-    coord_rows = []
-    for i in range(dim):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
-        coord_rows.append(_solve_fraction(gram, rhs))
-    proj = [
-        [sum(coord_rows[i][k] * p_basis[k][j] for k in range(dim)) for j in range(n_p)]
-        for i in range(dim)
-    ]
-    # ambient linear part: B_Q^T @ M @ proj  (maps R^{n_p} -> R^{n_q})
-    mp = [
-        [sum(Fraction(m_int[i][k]) * proj[k][j] for k in range(dim)) for j in range(n_p)]
-        for i in range(dim)
-    ]
-    linear = [
-        [sum(Fraction(q_basis[k][i]) * mp[k][j] for k in range(dim)) for j in range(n_p)]
-        for i in range(n_q)
-    ]
-    # translation: q_origin + B_Q^T (z0 - M y0) - linear @ p_origin
-    shift = [
-        Fraction(z0[i]) - sum(Fraction(m_int[i][k]) * y0[k] for k in range(dim))
-        for i in range(dim)
-    ]
-    translation = [
-        Fraction(q_origin[i])
-        + sum(Fraction(q_basis[k][i]) * shift[k] for k in range(dim))
-        - sum(linear[i][j] * p_origin[j] for j in range(n_p))
-        for i in range(n_q)
-    ]
-    return AffineIso(
-        tuple(tuple(row) for row in linear),
-        tuple(translation),
-    )
 
 
 def to_json(P: LatticePolytope) -> str:
@@ -690,7 +633,7 @@ def to_json(P: LatticePolytope) -> str:
 
 def from_json(text: str) -> LatticePolytope:
     """Load a polytope; the hull of the listed vertices is recomputed and
-    cross-checked against any facets present in the payload."""
+    cross-checked against any facets and equalities present in the payload."""
     try:
         payload = json.loads(text)
         vertices = [tuple(int(x) for x in v) for v in payload["vertices"]]
@@ -708,4 +651,16 @@ def from_json(text: str) -> LatticePolytope:
             raise PolytopeInputError(f"bad facet entry: {exc}") from exc
         if got != want:
             raise PolytopeInputError("declared facets do not match the hull of the vertices")
+    declared = payload.get("equalities")
+    if declared is not None:
+        try:
+            rows = [(tuple(int(x) for x in e["normal"]), int(e["offset"])) for e in declared]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PolytopeInputError(f"bad equality entry: {exc}") from exc
+        # any basis of the lattice of normals will do; its Hermite form must be the hull's
+        if (
+            any(len(normal) != P.n or _dot(normal, P.vertices[0]) != offset for normal, offset in rows)
+            or _hermite([normal for normal, _ in rows], P.n) != [normal for normal, _ in P.equalities]
+        ):
+            raise PolytopeInputError("declared equalities do not match the hull of the vertices")
     return P

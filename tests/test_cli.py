@@ -498,13 +498,14 @@ class TestReconstruct:
         assert code1 == code2 == 0 and out1 == out2
 
     # sha256 of the JSON this run prints: the five vertices of the bipyramid,
-    # complete after 84 queries, 19 of them indeterminate
+    # its equalities in Hermite normal form, complete after 84 queries, 19 of
+    # them indeterminate
     def test_f1_adaptive_bytes_are_pinned(self, capsys):
         args = ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--seed", "12"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e469b7b249173df78fd777df9520560e8ae1374d55143a9688c9ab76682c44f8"
+            "bc4b3acb9e32e57346f5b18af272b4b6af648226159d1d7f8e03ffa5c1c8a4be"
         )
 
     def test_witness_bytes_are_pinned(self, capsys):
@@ -563,7 +564,16 @@ class TestPolytopeCommands:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["isomorphic"] and payload["transform"] is not None
+        assert payload["isomorphic"]
+        matrix = [[int(x) for x in row] for row in payload["transform"]["matrix"]]
+        translation = [int(x) for x in payload["transform"]["translation"]]
+        delta = json.loads(delta_json.read_text())["vertices"]
+        bipyramid = json.loads((FIXTURES / "bipyramid.json").read_text())["vertices"]
+        images = {
+            tuple(sum(a * x for a, x in zip(row, v)) + t for row, t in zip(matrix, translation))
+            for v in delta
+        }
+        assert images == {tuple(v) for v in bipyramid}
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -299,6 +299,44 @@ def test_hull_commutes_with_large_lattice_maps(pts, data):
     assert convex_hull(moved) == _mapped(convex_hull(pts), scale, shift)
 
 
+def test_equalities_do_not_depend_on_non_vertex_points():
+    # (1,1,0,1) is the midpoint of the first and last point
+    pts = [(0, 0, 0, 0), (1, 1, 0, 1), (2, 0, 1, 0), (2, 2, 0, 2)]
+    P = convex_hull(pts)
+    assert P == convex_hull([(0, 0, 0, 0), (2, 0, 1, 0), (2, 2, 0, 2)])
+    assert P.equalities == (((1, 0, -2, -1), 0), ((0, 1, 0, -1), 0))
+
+
+@st.composite
+def flat_point_sets(draw):
+    """Point sets of dimension below their ambient one: small sets in 1-4
+    dimensions, lifted by an integer x -> A x + t into up to 6 coordinates, so
+    they span a random sublattice of a proper affine subspace."""
+    base = draw(small_point_sets().filter(lambda pts: len(pts[0]) <= 4))
+    d = len(base[0])
+    n = draw(st.integers(d + 1, 6))
+    entry = st.integers(-3, 3)
+    lift = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+    shift = draw(st.lists(entry, min_size=n, max_size=n))
+    return [tuple(sum(a * x for a, x in zip(row, p)) + t for row, t in zip(lift, shift)) for p in base]
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat_point_sets())
+def test_flat_hull_equals_hull_of_its_vertices(pts):
+    P = convex_hull(pts)
+    assert P.dim < P.n and len(P.equalities) == P.n - P.dim
+    assert convex_hull(P.vertices) == P
+    # Hermite form: positive pivots in increasing columns, each entry above
+    # a pivot in [0, pivot)
+    normals = [normal for normal, _ in P.equalities]
+    pivots = [next(j for j, x in enumerate(normal) if x) for normal in normals]
+    assert pivots == sorted(set(pivots))
+    for k, (normal, j) in enumerate(zip(normals, pivots)):
+        assert normal[j] > 0
+        assert all(0 <= above[j] < normal[j] for above in normals[:k])
+
+
 @st.composite
 def integer_rows(draw):
     """Integer rows with entries up to 2^100, some of them combinations of others."""
@@ -423,6 +461,51 @@ class TestAffinelyIsomorphic:
         assert not ok
 
 
+def _unimodular(n, rng):
+    """A random n x n integer matrix of determinant +-1: elementary row
+    operations applied to the identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-a for a in m[i]]
+        elif rng.random() < 0.7:
+            q = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+        else:
+            m[i], m[j] = m[j], m[i]
+    return m
+
+
+def _random_lattice_polytope(rng):
+    """A lattice polytope of dimension at most 3 with at most 7 vertices; a
+    flat one is lifted into up to 5 ambient coordinates."""
+    d = rng.randint(0, 3)
+    n = rng.randint(max(d, 1), 5)
+    lift = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+    for i in range(d):  # keep the lift injective
+        lift[i] = [int(i == j) for j in range(d)]
+    rng.shuffle(lift)
+    base = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 7))]
+    return convex_hull([tuple(sum(a * x for a, x in zip(row, p)) for row in lift) for p in base])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_isomorphism_under_unimodular_maps(seed):
+    rng = random.Random(seed)
+    P = _random_lattice_polytope(rng)
+    m = _unimodular(P.n, rng)
+    shift = [rng.randint(-9, 9) for _ in range(P.n)]
+    Q = convex_hull([tuple(sum(a * x for a, x in zip(row, v)) + t for row, t in zip(m, shift)) for v in P.vertices])
+    ok, witness = affinely_isomorphic(P, Q)
+    assert ok
+    assert all(type(x) is int for row in witness.matrix for x in row)
+    assert all(type(x) is int for x in witness.translation)
+    assert {witness.apply(v) for v in P.vertices} == set(Q.vertices)
+    if P.dim > 0:
+        assert affinely_isomorphic(P, dilate(P, 2)) == (False, None)
+
+
 class TestHalfspaceRepresentation:
     def test_segment(self):
         P = convex_hull([(0, 2, 0), (1, 0, 1)])
@@ -464,6 +547,30 @@ class TestJson:
         payload["facets"] = []
         with pytest.raises(PolytopeInputError):
             from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "equalities",
+        [
+            [([1, 0, 0], 0), ([0, 1, 2], 2)],  # x_1 = 0 holds at (0, 2, 0) only
+            [([1, 0, -1], 1), ([0, 1, 2], 2)],  # wrong offset
+            [([1, 0, -1], 0)],  # one of two missing
+        ],
+    )
+    def test_rejects_wrong_equality(self, equalities):
+        payload = json.loads(to_json(convex_hull([(0, 2, 0), (1, 0, 1)])))
+        assert [(e["normal"], e["offset"]) for e in payload["equalities"]] == [([1, 0, -1], 0), ([0, 1, 2], 2)]
+        payload["equalities"] = [{"normal": normal, "offset": offset} for normal, offset in equalities]
+        with pytest.raises(PolytopeInputError, match="equalities"):
+            from_json(json.dumps(payload))
+
+    def test_loads_any_basis_of_the_equalities(self):
+        P = convex_hull([(0, 0, 0, 0), (2, 0, 1, 0), (2, 2, 0, 2)])
+        payload = json.loads(to_json(P))
+        payload["equalities"] = [
+            {"normal": [1, -1, -2, 0], "offset": 0},
+            {"normal": [1, 0, -2, -1], "offset": 0},
+        ]
+        assert from_json(json.dumps(payload)) == P
 
     def test_point_has_no_facets(self):
         P = convex_hull([(2, 3)])
