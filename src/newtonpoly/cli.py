@@ -1,22 +1,25 @@
 """Command-line interface: support queries, vertex queries, reconstruction,
 and direct polytope utilities.
 
-One seeded generator drives all randomness per invocation, so identical
-invocations produce byte-identical JSON.  Data goes to stdout (or --out);
-diagnostics go to stderr.  Exit codes: 0 ok, 2 input error, 3 algorithmic
-indeterminacy, 4 internal inconsistency.
+--seed fixes every generator of an invocation, so identical invocations
+produce byte-identical output: the oracle draws from random.Random(seed), and
+reconstruct's directions and facet tilts from a generator whose seed is
+derived from it.  Data goes to stdout (or --out); diagnostics go to stderr.
+Exit codes: 0 ok, 2 input error, 3 algorithmic indeterminacy, 4 internal
+inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import eval_oracle as ev
 from . import polytope as pt
@@ -36,37 +39,44 @@ class InputError(ValueError):
 
 def _parse_fraction_vector(text: str) -> Tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(entry.strip()) for entry in text.split(",") if entry.strip())
+        return _rational_row(entry for entry in text.split(",") if entry.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad direction {text!r}: {exc}") from exc
 
 
-def _check_double(w: Sequence[Fraction]) -> None:
-    """Directions are evaluated in floating point: every entry must convert
-    to a finite double, and the step between the values w . beta (the group
-    generator, at most every nonzero |entry|) to a normal one."""
+def _check_direction(w: Sequence[Fraction]) -> None:
+    """A direction must be nonzero, and it is evaluated in floating point:
+    every entry must convert to a finite double, and the step between the
+    values w . beta (the group generator, at most every nonzero |entry|) to a
+    normal one."""
+    if not any(w):
+        raise InputError("a direction must be nonzero")
     for i, x in enumerate(w, start=1):
         try:
             float(x)
         except OverflowError:
             raise InputError(f"direction entry {i} is too large for a double") from None
-    if any(w) and float(ev.group_generator(w)) < sys.float_info.min:
+    if float(ev.group_generator(w)) < sys.float_info.min:
         raise InputError("direction entries are too fine for a double")
 
 
-def _read_direction_file(path: str) -> List[Tuple[Fraction, ...]]:
-    directions = []
+def _read_rows(path: str, parse, what: str) -> list:
+    """``parse`` applied to the fields of every line; ``#`` starts a comment."""
+    rows = []
     for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            directions.append(tuple(Fraction(f) for f in line.split()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{path}:{line_no}: bad rational vector: {exc}") from exc
-    if not directions:
-        raise InputError(f"{path}: no directions found")
-    return directions
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            try:
+                rows.append(parse(fields))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"{path}:{line_no}: bad {what}: {exc}") from exc
+    if not rows:
+        raise InputError(f"{path}: no {what}s found")
+    return rows
+
+
+def _rational_row(fields) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(f) for f in fields)
 
 
 def _read_text(path: str) -> str:
@@ -77,56 +87,48 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_polynomial(args) -> Tuple[sp.Slp, int, Optional[sp.SparsePolynomial]]:
-    """Returns (program, variable count, sparse form when available)."""
-    if getattr(args, "sparse", None):
+def _load_polynomial(args) -> sp.Slp:
+    if args.sparse:
         try:
             poly = sp.parse_sparse(_read_text(args.sparse))
         except sp.SparseParseError as exc:
             raise InputError(f"{args.sparse}: {exc}") from exc
         if poly.is_zero():
             raise InputError(f"{args.sparse}: the zero polynomial has no Newton polytope")
-        return sp.sparse_to_slp(poly), poly.n, poly
-    if getattr(args, "slp", None):
+        return sp.sparse_to_slp(poly)
+    if args.slp:
         try:
-            program = sp.parse_slp(_read_text(args.slp))
+            return sp.parse_slp(_read_text(args.slp))
         except sp.SlpParseError as exc:
             raise InputError(f"{args.slp}: {exc}") from exc
-        return program, program.n, None
     raise InputError("one of --sparse or --slp is required")
 
 
-def _match_arity(program: sp.Slp, width: int, source: str) -> sp.Slp:
-    """Widen a program's ambient arity to the query dimension.
-
-    A program that never reads some trailing variables (a constant, say) can
-    still be queried in any larger ambient dimension.
-    """
-    if width == program.n:
-        return program
-    if width > program.n:
-        return sp.Slp(width, program.instructions, program.output)
-    raise InputError(f"direction has {width} entries, but {source} reads {program.n} inputs")
+def _fit(program: sp.Slp, w: Sequence[Fraction], args) -> sp.Slp:
+    """The program in the direction's dimension.  An --slp program widens: one
+    that never reads some trailing variables (a constant, say) can still be
+    queried in any larger ambient dimension.  A --sparse polynomial must match."""
+    if args.slp and len(w) > program.n:
+        return sp.Slp(len(w), program.instructions, program.output)
+    if len(w) != program.n:
+        raise InputError(f"direction has {len(w)} entries, expected {program.n}")
+    return program
 
 
-def _emit(args, payload, text_lines=None, csv_rows=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+def _emit(args, payload, text_lines, csv_rows=None) -> None:
+    if args.format == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = csv_rows if csv_rows is not None else []
-        body = "\n".join(",".join(str(x) for x in row) for row in rows)
+    elif args.format == "csv":
+        body = "\n".join(",".join(str(x) for x in row) for row in csv_rows)
         body += "\n" if body else ""
     else:
-        lines = text_lines if text_lines is not None else [json.dumps(payload, sort_keys=True)]
-        body = "\n".join(lines) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
+        body = "\n".join(text_lines) + "\n"
+    if args.out:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(body)
         except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc}") from exc
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -135,25 +137,20 @@ def _emit(args, payload, text_lines=None, csv_rows=None) -> None:
 # support
 
 def cmd_support(args) -> int:
-    program, n, _ = _load_polynomial(args)
-    directions: List[Tuple[Fraction, ...]] = [_parse_fraction_vector(w) for w in args.w or []]
+    program = _load_polynomial(args)
+    directions = [_parse_fraction_vector(w) for w in args.w or []]
     if args.directions:
-        directions.extend(_read_direction_file(args.directions))
+        directions.extend(_read_rows(args.directions, _rational_row, "direction"))
     if not directions:
         raise InputError("supply at least one direction via --w or --directions")
-    if not all(any(w) for w in directions):
-        raise InputError("a direction must be nonzero")
     for w in directions:
-        _check_double(w)
+        _check_direction(w)
     rng = random.Random(args.seed)
     records = []
     lines = []
     rows = [("w", "h")]
     for w in directions:
-        if args.slp:
-            program = _match_arity(program, len(w), args.slp)
-        elif len(w) != n:
-            raise InputError(f"direction {tuple(map(str, w))} has {len(w)} entries, expected {n}")
+        program = _fit(program, w, args)
         est = ev.support_estimate(program, w, rng=rng)
         records.append(
             {
@@ -171,21 +168,28 @@ def cmd_support(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vertex
+# oracles
 
-def _load_bounds(args) -> ev.EvalBounds:
-    """Coefficient caps from --delta/--lambda and the --superset candidates."""
+def _integral_row(fields) -> Tuple[int, ...]:
+    row = _rational_row(fields)
+    if any(x.denominator != 1 for x in row):
+        raise ValueError(f"{' '.join(map(str, row))} is not integral")
+    return tuple(int(x) for x in row)
+
+
+def _load_bounds(args, n: int) -> ev.EvalBounds:
+    """Coefficient caps from --delta/--lambda and the --superset candidates
+    for a polynomial in n variables."""
     if args.superset is None:
         raise InputError("eval backend needs --superset PATH or --adaptive")
-    rows = _read_direction_file(args.superset)
-    for row in rows:
-        if any(x.denominator != 1 for x in row):
-            raise InputError(f"{args.superset}: superset row {' '.join(map(str, row))} is not integral")
-    superset = [tuple(int(x) for x in row) for row in rows]
+    superset = _read_rows(args.superset, _integral_row, "superset row")
     try:
-        return ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
+        bounds = ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if len(superset[0]) != n:
+        raise InputError(f"{args.superset}: superset rows have {len(superset[0])} entries, expected {n}")
+    return bounds
 
 
 def _is_int(value) -> bool:
@@ -202,7 +206,9 @@ def _is_number(value) -> bool:
         return False
 
 
-def _load_witness_setup(args, seed: int):
+def _load_witness_setup(args) -> rc.WitnessVertexOracle:
+    if not args.witness_config:
+        raise InputError("witness backend needs --witness-config PATH")
     try:
         config = json.loads(_read_text(args.witness_config))
     except json.JSONDecodeError as exc:
@@ -234,7 +240,7 @@ def _load_witness_setup(args, seed: int):
         if not ok:
             raise InputError(f"{args.witness_config}: {message}")
 
-    seed = config.get("seed", seed)
+    seed = config.get("seed", args.seed)
     check(_is_int(seed), "seed must be an integer")
     degree = config.get("degree")
     check(degree is None or (_is_int(degree) and degree >= 1), "degree must be a positive integer")
@@ -269,7 +275,30 @@ def _load_witness_setup(args, seed: int):
         rate_source=rate_source,
         C=c_value,
     )
-    return backend, line, consts, wcfg
+    return rc.WitnessVertexOracle(backend, line, consts, wcfg)
+
+
+def _load_oracle(args, rng: random.Random, w: Optional[Sequence[Fraction]] = None):
+    """The vertex oracle the arguments select: witness, or eval (adaptive or
+    bounds) drawing from ``rng``.  A direction ``w`` fixes the dimension."""
+    if args.backend == "witness":
+        oracle = _load_witness_setup(args)
+        if w is not None and len(w) != oracle.n:
+            raise InputError(f"direction has {len(w)} entries, expected {oracle.n}")
+        return oracle
+    program = _load_polynomial(args)
+    if w is not None:
+        program = _fit(program, w, args)
+    if args.adaptive:
+        return rc.EvalVertexOracle.adaptive(program, program.n, rng=rng)
+    return rc.EvalVertexOracle.from_bounds(program, _load_bounds(args, program.n), rng=rng)
+
+
+# ---------------------------------------------------------------------------
+# vertex
+
+def _dot(w: Sequence[Fraction], beta: pt.Point) -> Fraction:
+    return sum(wi * bi for wi, bi in zip(w, beta))
 
 
 def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Point:
@@ -290,81 +319,42 @@ def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Poin
 
 
 def cmd_vertex(args) -> int:
-    if not args.w:
-        raise InputError("--w is required")
     w = _parse_fraction_vector(args.w[0])
-    if not any(w):
-        raise InputError("a direction must be nonzero")
-    _check_double(w)
+    _check_direction(w)
     rng = random.Random(args.seed)
-    if args.backend == "eval":
-        program, n, _ = _load_polynomial(args)
-        if args.slp:
-            program = _match_arity(program, len(w), args.slp)
-            n = program.n
-        elif len(w) != n:
-            raise InputError(f"direction has {len(w)} entries, expected {n}")
-        if args.adaptive:
-            oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
-            beta = _query_in_cone(oracle, w, rng)
-            h = oracle.support(w)
-            record = {
-                "w": [str(x) for x in w],
-                "h": str(h),
-                "vertex": list(beta),
-                "t_used": None,
-                "estimates": [],
-            }
-            lines = [f"vertex = {beta}  (support value {h})"]
-        else:
-            bounds = _load_bounds(args)
-            try:
-                answer = ev.vertex_query(program, bounds, w, rng, t=args.t)
-            except ValueError as exc:  # a non-generic direction, a bad --t or a stretch beyond a double
-                raise InputError(str(exc)) from exc
-            h = sum(wi * bi for wi, bi in zip(w, answer.beta))
-            record = {
-                "w": [str(x) for x in w],
-                "h": str(Fraction(h)),
-                "vertex": list(answer.beta),
-                "t_used": answer.t,
-                "estimates": [],
-                "ratio": answer.ratio,
-            }
-            lines = [
-                f"vertex = {answer.beta}",
-                f"measured log|f(t^w)| / log t = {answer.ratio:.4f} at t = {answer.t:g}",
-            ]
-        _emit(args, record, text_lines=lines)
-        return EXIT_OK
-
-    # witness backend
-    if not args.witness_config:
-        raise InputError("witness backend needs --witness-config PATH")
-    backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
-    if len(w) != line.n:
-        raise InputError(f"direction has {len(w)} entries, expected {line.n}")
-    oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
-    _query_in_cone(oracle, w, wcfg.rng)
-    cert = oracle.certificates[-1]
-    record = {
-        "w": [str(x) for x in w],
-        "h": str(sum(wi * bi for wi, bi in zip(w, cert.beta))),
-        "vertex": list(cert.beta),
-        "t_used": wcfg.t_max,
-        "t_entry": cert.t_entry,
-        "estimates": [],
-    }
-    lines = [
-        f"vertex = {cert.beta}",
-        f"all paths classified from t = {cert.t_entry:g}; bounds checked to t = {wcfg.t_max:g}",
-    ]
+    oracle = _load_oracle(args, rng, w)
+    record = {"w": [str(x) for x in w], "estimates": []}
     rows = None
-    if args.format == "csv":  # path traces
-        rows = [("path_id", "t", "re_s", "im_s", "residual")]
-        for idx, path in enumerate(cert.paths):
-            for t, s, res in path.samples:
-                rows.append((idx, f"{t!r}", f"{s.real!r}", f"{s.imag!r}", f"{res:.3e}"))
+    if args.backend == "witness":
+        _query_in_cone(oracle, w, oracle.config.rng)
+        cert = oracle.certificates[-1]
+        beta, t_max = cert.beta, oracle.config.t_max
+        record.update(t_used=t_max, t_entry=cert.t_entry)
+        lines = [
+            f"vertex = {beta}",
+            f"all paths classified from t = {cert.t_entry:g}; bounds checked to t = {t_max:g}",
+        ]
+        if args.format == "csv":  # path traces
+            rows = [("path_id", "t", "re_s", "im_s", "residual")]
+            for idx, path in enumerate(cert.paths):
+                for t, s, res in path.samples:
+                    rows.append((idx, f"{t!r}", f"{s.real!r}", f"{s.imag!r}", f"{res:.3e}"))
+    elif args.adaptive:
+        beta = _query_in_cone(oracle, w, rng)
+        record["t_used"] = None
+        lines = [f"vertex = {beta}  (support value {_dot(w, beta)})"]
+    else:
+        try:
+            answer = ev.vertex_query(oracle.slp, oracle.bounds, w, rng, t=args.t)
+        except ValueError as exc:  # a non-generic direction, a bad --t or a stretch beyond a double
+            raise InputError(str(exc)) from exc
+        beta = answer.beta
+        record.update(t_used=answer.t, ratio=answer.ratio)
+        lines = [
+            f"vertex = {beta}",
+            f"measured log|f(t^w)| / log t = {answer.ratio:.4f} at t = {answer.t:g}",
+        ]
+    record.update(h=str(_dot(w, beta)), vertex=list(beta))
     _emit(args, record, text_lines=lines, csv_rows=rows)
     return EXIT_OK
 
@@ -372,21 +362,17 @@ def cmd_vertex(args) -> int:
 # ---------------------------------------------------------------------------
 # reconstruct
 
+def _derive_seed(seed: int, stream: str) -> int:
+    """A 63-bit seed for the named generator, fixed by --seed."""
+    digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
+
+
 def cmd_reconstruct(args) -> int:
-    rng = random.Random(args.seed)
-    if args.backend == "eval":
-        program, n, _ = _load_polynomial(args)
-        if args.adaptive:
-            oracle = rc.EvalVertexOracle.adaptive(program, n, rng=rng)
-        else:
-            oracle = rc.EvalVertexOracle.from_bounds(program, _load_bounds(args), rng=rng)
-    else:
-        if not args.witness_config:
-            raise InputError("witness backend needs --witness-config PATH")
-        backend, line, consts, wcfg = _load_witness_setup(args, args.seed)
-        oracle = rc.WitnessVertexOracle(backend, line, consts, wcfg)
-        n = line.n
-    report = rc.reconstruct(oracle, n, rc.ReconstructConfig(seed=args.seed))
+    oracle = _load_oracle(args, random.Random(args.seed))
+    # the facet tilts draw from their own stream, not the oracle's
+    config = rc.ReconstructConfig(seed=_derive_seed(args.seed, "reconstruct"))
+    report = rc.reconstruct(oracle, oracle.n, config)
 
     payload = {
         "polytope": json.loads(pt.to_json(report.polytope)),
@@ -416,27 +402,9 @@ def cmd_reconstruct(args) -> int:
 # ---------------------------------------------------------------------------
 # polytope utilities
 
-def _read_points(path: str) -> List[Tuple[int, ...]]:
-    points = []
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            points.append(tuple(int(f) for f in line.split()))
-        except ValueError as exc:
-            raise InputError(f"{path}:{line_no}: bad integer point: {exc}") from exc
-    if not points:
-        raise InputError(f"{path}: no points found")
-    return points
-
-
 def cmd_hull(args) -> int:
-    points = _read_points(args.points)
-    try:
-        P = pt.convex_hull(points)
-    except pt.PolytopeInputError as exc:
-        raise InputError(str(exc)) from exc
+    points = _read_rows(args.points, lambda fields: tuple(int(f) for f in fields), "integer point")
+    P = pt.convex_hull(points)
     payload = json.loads(pt.to_json(P))
     lines = [f"dim {P.dim}, {len(P.vertices)} vertices, {len(P.facets)} facets"]
     lines += ["  " + " ".join(map(str, v)) for v in P.vertices]
@@ -445,11 +413,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        P = pt.from_json(_read_text(args.polytope))
-        points = pt.lattice_points(P)
-    except pt.PolytopeInputError as exc:
-        raise InputError(str(exc)) from exc
+    points = pt.lattice_points(pt.from_json(_read_text(args.polytope)))
     payload = {"count": len(points), "points": [list(p) for p in points]}
     lines = [f"{len(points)} lattice points"] + ["  " + " ".join(map(str, p)) for p in points]
     rows = [tuple(p) for p in points]
@@ -458,12 +422,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_isom(args) -> int:
-    try:
-        P = pt.from_json(_read_text(args.p))
-        Q = pt.from_json(_read_text(args.q))
-    except pt.PolytopeInputError as exc:
-        raise InputError(str(exc)) from exc
-    ok, witness = pt.affinely_isomorphic(P, Q)
+    ok, witness = pt.affinely_isomorphic(pt.from_json(_read_text(args.p)), pt.from_json(_read_text(args.q)))
     payload = {"isomorphic": ok, "transform": None}
     if ok:
         payload["transform"] = {
@@ -493,6 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
+    def oracle(p, **backend):  # the options _load_oracle reads
+        common(p)
+        p.add_argument("--backend", choices=["eval", "witness"], **backend)
+        p.add_argument("--delta", type=float, default=1.0, help="coefficient log-magnitude cap")
+        p.add_argument("--lambda", type=float, default=1.0, help="coefficient log-ratio cap")
+        p.add_argument("--superset", help="file of candidate exponent vectors")
+        p.add_argument("--adaptive", action="store_true")
+        p.add_argument("--witness-config", dest="witness_config")
+        p.add_argument("--t-max", dest="t_max", type=float, help="tracking horizon (witness)")
+
     p_support = sub.add_parser("support", help="support-function values from evaluation")
     common(p_support)
     p_support.add_argument("--w", action="append", help="direction, comma-separated rationals")
@@ -500,27 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_support.set_defaults(func=cmd_support)
 
     p_vertex = sub.add_parser("vertex", help="vertex exposed by a direction")
-    common(p_vertex)
-    p_vertex.add_argument("--backend", choices=["eval", "witness"], required=True)
+    oracle(p_vertex, required=True)
     p_vertex.add_argument("--w", action="append", required=True)
     p_vertex.add_argument("--t", type=float, help="stretch factor (eval backend)")
-    p_vertex.add_argument("--t-max", dest="t_max", type=float, help="tracking horizon (witness)")
-    p_vertex.add_argument("--delta", type=float, default=1.0, help="coefficient log-magnitude cap")
-    p_vertex.add_argument("--lambda", type=float, default=1.0, help="coefficient log-ratio cap")
-    p_vertex.add_argument("--superset", help="file of candidate exponent vectors")
-    p_vertex.add_argument("--adaptive", action="store_true")
-    p_vertex.add_argument("--witness-config", dest="witness_config")
     p_vertex.set_defaults(func=cmd_vertex)
 
     p_rec = sub.add_parser("reconstruct", help="full Newton polytope from an oracle")
-    common(p_rec)
-    p_rec.add_argument("--backend", choices=["eval", "witness"], default="eval")
-    p_rec.add_argument("--delta", type=float, default=1.0)
-    p_rec.add_argument("--lambda", type=float, default=1.0)
-    p_rec.add_argument("--superset")
-    p_rec.add_argument("--adaptive", action="store_true")
-    p_rec.add_argument("--witness-config", dest="witness_config")
-    p_rec.add_argument("--t-max", dest="t_max", type=float)
+    oracle(p_rec, default="eval")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_hull = sub.add_parser("hull", help="exact convex hull of integer points")
@@ -546,8 +501,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # rows for --format csv: support values, lattice points, witness path traces
+        table = args.command in ("support", "lattice") or (args.command == "vertex" and args.backend == "witness")
+        if args.format == "csv" and not table:
+            raise InputError(f"{args.command} has no CSV output; use --format json or text")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, pt.PolytopeInputError) as exc:  # malformed polytope data is an input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except rc.OracleIndeterminate as exc:  # any query that could not be certified

@@ -65,6 +65,8 @@ class EvalBounds:
             raise ValueError("delta and lambda must both be finite and at least 1")
         if not self.superset:
             raise ValueError("the exponent superset must be nonempty")
+        if len({len(beta) for beta in self.superset}) != 1:
+            raise ValueError("the exponent superset rows differ in length")
         if len(set(self.superset)) != len(self.superset):
             raise ValueError("the exponent superset contains duplicates")
 

@@ -560,17 +560,30 @@ def _lattice_coordinates(vertices: Sequence[Point], n: int):
     return origin, v[:rank], u[:rank], coords
 
 
+def _difference_gcds(vertices: Sequence[Point]) -> List[int]:
+    """Sorted gcds of all pairwise vertex differences.  Each difference lies in
+    the saturated lattice of the affine hull, so its gcd is its divisibility
+    there, which a lattice-affine bijection keeps."""
+    return sorted(math.gcd(*_sub(p, q)) for p, q in itertools.combinations(vertices, 2))
+
+
 def affinely_isomorphic(P: LatticePolytope, Q: LatticePolytope):
     """Search for a lattice-affine bijection of vertex sets; returns (bool, witness).
 
-    The map must be unimodular on the lattice of the affine hull.  Images of
-    an affine basis of P's vertices are enumerated exhaustively, which is fine
-    at the vertex counts that occur here.  Everything runs in integers: the
+    The map must be unimodular on the lattice of the affine hull.  Pairs whose
+    facet counts or difference gcds differ are rejected at once; otherwise
+    images of an affine basis of P's vertices are enumerated exhaustively,
+    which is fine at the vertex counts that occur here.  Everything runs in integers: the
     linear part M solves ``delta_p @ M^T = delta_q`` as ``adj(delta_p) @
     delta_q / det(delta_p)``, and is unimodular exactly when it is integral
     and ``|det delta_q| == |det delta_p|``.
     """
-    if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
+    if (
+        P.dim != Q.dim
+        or len(P.vertices) != len(Q.vertices)
+        or len(P.facets) != len(Q.facets)
+        or _difference_gcds(P.vertices) != _difference_gcds(Q.vertices)
+    ):
         return False, None
     dim = P.dim
     if dim == 0:
@@ -631,12 +644,19 @@ def to_json(P: LatticePolytope) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_int(x) -> int:
+    """A JSON integer; a float, a string or a boolean is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def from_json(text: str) -> LatticePolytope:
     """Load a polytope; the hull of the listed vertices is recomputed and
     cross-checked against any facets and equalities present in the payload."""
     try:
         payload = json.loads(text)
-        vertices = [tuple(int(x) for x in v) for v in payload["vertices"]]
+        vertices = [tuple(map(_json_int, v)) for v in payload["vertices"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise PolytopeInputError(f"bad polytope JSON: {exc}") from exc
     P = convex_hull(vertices)
@@ -646,7 +666,7 @@ def from_json(text: str) -> LatticePolytope:
         want = set()
         try:
             for f in declared:
-                want.add((_primitive(tuple(int(x) for x in f["normal"])), int(f["offset"])))
+                want.add((_primitive(tuple(map(_json_int, f["normal"]))), _json_int(f["offset"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise PolytopeInputError(f"bad facet entry: {exc}") from exc
         if got != want:
@@ -654,7 +674,7 @@ def from_json(text: str) -> LatticePolytope:
     declared = payload.get("equalities")
     if declared is not None:
         try:
-            rows = [(tuple(int(x) for x in e["normal"]), int(e["offset"])) for e in declared]
+            rows = [(tuple(map(_json_int, e["normal"])), _json_int(e["offset"])) for e in declared]
         except (KeyError, TypeError, ValueError) as exc:
             raise PolytopeInputError(f"bad equality entry: {exc}") from exc
         # any basis of the lattice of normals will do; its Hermite form must be the hull's

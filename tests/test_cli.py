@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from newtonpoly import eval_oracle as ev
+from newtonpoly import polytope as pt
 from newtonpoly import reconstruct as rc
 from newtonpoly import witness_oracle as wo
 from newtonpoly.cli import main
@@ -401,6 +404,35 @@ BAD_INPUTS = {
         ["vertex", "--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"), "--w", "1e-400,1"],
     ),
     "out-into-missing-directory": ({"p.pts": "1 2\n"}, ["hull", "--points", "p.pts", "--out", "missing/out.json"]),
+    # superset rows of mixed widths, or of a width other than the polynomial's
+    # variable count (disc.poly reads 3)
+    "reconstruct-superset-mixed-widths": ({"s.pts": "1 0 1\n0 2\n"}, DISC_RECONSTRUCT[:-1] + ["s.pts"]),
+    "vertex-superset-mixed-widths": (
+        {"s.pts": "1 0 1\n0 2\n"},
+        DISC_VERTEX[:5] + ["--superset", "s.pts", "--delta", "2", "--lambda", "2", "--w", "1,0,1"],
+    ),
+    "reconstruct-superset-too-narrow": ({"s.pts": "1 0\n0 2\n"}, DISC_RECONSTRUCT[:-1] + ["s.pts"]),
+    "vertex-superset-too-narrow": (
+        {"s.pts": "1 0\n0 2\n"},
+        DISC_VERTEX[:5] + ["--superset", "s.pts", "--delta", "2", "--lambda", "2", "--w", "1,0,1"],
+    ),
+    # commands with no table to print
+    "reconstruct-csv": ({}, DISC_RECONSTRUCT + ["--format", "csv"]),
+    "reconstruct-adaptive-csv": ({}, ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--format", "csv"]),
+    "vertex-csv": ({}, DISC_VERTEX + ["--format", "csv"]),
+    "vertex-adaptive-csv": (
+        {},
+        ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "disc.poly"), "--w", "7,3,2", "--format", "csv"],
+    ),
+    "hull-csv": ({"p.pts": "1 2\n3 4\n"}, ["hull", "--points", "p.pts", "--format", "csv"]),
+    "isom-csv": (
+        {},
+        ["isom", "--p", str(FIXTURES / "bipyramid.json"), "--q", str(FIXTURES / "bipyramid.json"), "--format", "csv"],
+    ),
+    "lattice-vertex-not-an-integer": (
+        {"p.json": '{"vertices": [[0, 0], [1.5, 0], [0, 1]]}'},
+        ["lattice", "--polytope", "p.json"],
+    ),
 }
 
 
@@ -431,6 +463,33 @@ def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(args, capsys)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in BAD_INPUTS if name.endswith("-csv")))
+def test_csv_is_refused_before_any_work(name, capsys, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, attr in ((ev, "support_estimate"), (ev, "vertex_query"), (pt, "convex_hull"), (pt, "from_json")):
+        monkeypatch.setattr(module, attr, no_work)
+    test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reconstruct_and_its_oracle_draw_from_different_generators(seed, capsys, monkeypatch):
+    # the bounds oracle draws nothing before the reconstruction starts, so its
+    # generator is still in its seeded state there
+    seen = []
+
+    def stop(oracle, n, config):
+        seen.append((oracle.rng.getstate(), random.Random(config.seed).getstate()))
+        raise rc.OracleIndeterminate("stopped")
+
+    monkeypatch.setattr(rc, "reconstruct", stop)
+    code, _, _ = run_cli(DISC_RECONSTRUCT + ["--seed", str(seed)], capsys)
+    assert code == 3
+    ((oracle_state, reconstruct_state),) = seen
+    assert oracle_state != reconstruct_state
 
 
 @pytest.mark.parametrize("name", sorted(INDETERMINATE_INPUTS))
@@ -498,14 +557,14 @@ class TestReconstruct:
         assert code1 == code2 == 0 and out1 == out2
 
     # sha256 of the JSON this run prints: the five vertices of the bipyramid,
-    # its equalities in Hermite normal form, complete after 84 queries, 19 of
+    # its equalities in Hermite normal form, complete after 79 queries, 15 of
     # them indeterminate
     def test_f1_adaptive_bytes_are_pinned(self, capsys):
         args = ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--seed", "12"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bc4b3acb9e32e57346f5b18af272b4b6af648226159d1d7f8e03ffa5c1c8a4be"
+            "9ed766cd78d390b609338340dec8c95dc733d8292767945f736210185f8219c7"
         )
 
     def test_witness_bytes_are_pinned(self, capsys):

@@ -42,6 +42,20 @@ class TestMinGap:
             min_gap([(1, 0), (0, 1)], (1.0, 1.0 + 1e-14))
 
 
+class TestEvalBounds:
+    @pytest.mark.parametrize(
+        "superset, message",
+        [
+            ((), "nonempty"),
+            (((1, 0, 1), (0, 2)), "differ in length"),
+            (((1, 0, 1), (0, 2, 0), (1, 0, 1)), "duplicates"),
+        ],
+    )
+    def test_rejects_bad_superset(self, superset, message):
+        with pytest.raises(ValueError, match=message):
+            EvalBounds(2.0, 2.0, superset)
+
+
 class TestThreshold:
     def test_quadric_example(self):
         bounds = EvalBounds(2.0, 2.0, QUADRIC_SUPERSET)

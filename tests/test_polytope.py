@@ -460,6 +460,22 @@ class TestAffinelyIsomorphic:
         ok, _ = affinely_isomorphic(stretched, plain)
         assert not ok
 
+    @pytest.mark.parametrize("other", ["dilated", "0/1 polytope"])
+    def test_birkhoff_is_told_apart_at_once(self, other):
+        # 24 vertices in dimension 9: the search over images of an affine
+        # basis alone would try 24!/14! (about 8.6e12) candidates.  2 B_4 has
+        # even difference gcds; 24 random 0/1 points in dimension 9 span a
+        # polytope whose gcds are all 1, like B_4's, but with 740 facets
+        B4 = convex_hull(birkhoff(4))
+        if other == "dilated":
+            Q = dilate(B4, 2)
+        else:
+            Q = convex_hull(random.Random(1).sample(list(itertools.product((0, 1), repeat=9)), 24))
+        assert Q.dim == 9 and len(Q.vertices) == 24
+        start = time.perf_counter()
+        assert affinely_isomorphic(B4, Q) == (False, None)
+        assert time.perf_counter() - start < 1.0
+
 
 def _unimodular(n, rng):
     """A random n x n integer matrix of determinant +-1: elementary row
@@ -571,6 +587,22 @@ class TestJson:
             {"normal": [1, 0, -2, -1], "offset": 0},
         ]
         assert from_json(json.dumps(payload)) == P
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
+    @pytest.mark.parametrize("field", ["vertex", "facet normal", "facet offset", "equality normal", "equality offset"])
+    def test_rejects_non_integer_entries(self, field, entry):
+        payload = json.loads(to_json(convex_hull([(0, 2, 0), (1, 0, 1), (1, 1, 1)])))
+        target = {
+            "vertex": (payload["vertices"][1], 0),
+            "facet normal": (payload["facets"][0]["normal"], 0),
+            "facet offset": (payload["facets"][0], "offset"),
+            "equality normal": (payload["equalities"][0]["normal"], 0),
+            "equality offset": (payload["equalities"][0], "offset"),
+        }
+        container, key = target[field]
+        container[key] = entry
+        with pytest.raises(PolytopeInputError, match="not an integer"):
+            from_json(json.dumps(payload))
 
     def test_point_has_no_facets(self):
         P = convex_hull([(2, 3)])
