@@ -150,8 +150,7 @@ def cmd_support(args) -> int:
     lines = []
     rows = [("w", "h")]
     for w in directions:
-        program = _fit(program, w, args)
-        est = ev.support_estimate(program, w, rng=rng)
+        est = ev.support_estimate(_fit(program, w, args), w, rng=rng)
         records.append(
             {
                 "w": [str(x) for x in w],
@@ -319,6 +318,10 @@ def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Poin
 
 
 def cmd_vertex(args) -> int:
+    if len(args.w) > 1:
+        raise InputError(f"vertex takes one direction, got {len(args.w)} --w options")
+    if args.t is not None and (args.backend == "witness" or args.adaptive):
+        raise InputError("--t sets the stretch of a --superset query; this backend does not read it")
     w = _parse_fraction_vector(args.w[0])
     _check_direction(w)
     rng = random.Random(args.seed)
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vertex = sub.add_parser("vertex", help="vertex exposed by a direction")
     oracle(p_vertex, required=True)
     p_vertex.add_argument("--w", action="append", required=True)
-    p_vertex.add_argument("--t", type=float, help="stretch factor (eval backend)")
+    p_vertex.add_argument("--t", type=float, help="stretch factor (eval backend with --superset)")
     p_vertex.set_defaults(func=cmd_vertex)
 
     p_rec = sub.add_parser("reconstruct", help="full Newton polytope from an oracle")

@@ -8,7 +8,10 @@ Two query styles:
 
 * adaptive support queries: for rational directions the support value lies in
   a known discrete group, so a 1/tau-convergent sequence of log-magnitude
-  ratios identifies it without any coefficient information.
+  ratios identifies it without any coefficient information.  The candidate
+  exponents are the lattice points under the support values along the
+  coordinate axes and the two total-degree directions (1, ..., 1) and
+  (-1, ..., -1), one fixed cut system that needs no LP.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from scipy.optimize import linprog
+# linprog stays importable here, uncalled: perfbench/tracing.py wraps the name
+from scipy.optimize import linprog  # noqa: F401
 
 # convex_hull stays importable here: perfbench/tracing.py wraps the name
 from .polytope import box_points, convex_hull  # noqa: F401
@@ -49,7 +53,7 @@ class NoConvergenceError(OracleIndeterminate):
 
 
 class UnboundedError(RuntimeError):
-    """The requested directions do not cut out a bounded region."""
+    """The estimated support values leave no candidate exponent."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ def min_gap(B: Sequence[Exponent], w: Sequence) -> DirectionGap:
     dots = sorted(sum(wi * a for wi, a in zip(w, beta)) for beta in B)
     gap = min(b - a for a, b in zip(dots, dots[1:]))
     if gap == 0:
-        raise NotGenericError(f"direction {tuple(w)} does not separate the candidates")
+        raise NotGenericError(f"direction {', '.join(map(str, w))} does not separate the candidates")
     return DirectionGap(tuple(w), float(gap))
 
 
@@ -222,64 +226,23 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
     )
 
 
-def _box_bounds(directions: Sequence[Sequence], values: Sequence, n: int) -> List[int]:
-    """Per-coordinate integer upper bounds of {x >= 0, W x <= h}.
-
-    A cut row d with every entry >= 0 and d_i > 0 gives x_i <= d . x <= h,
-    so x_i <= floor(h / d_i), exactly.  Only coordinates that no such row
-    bounds fall back to a (floating-point) LP.  UnboundedError reports a
-    negative exact bound, an unbounded coordinate, or an LP that finds the
-    region empty; an empty region whose coordinates are all bounded exactly
-    is left to the caller, whose box then holds no point of it.
-    """
-    his: List[Optional[int]] = [None] * n
-    for d, h in zip(directions, values):
-        if any(v < 0 for v in d):
-            continue
-        for i, di in enumerate(d):
-            if di > 0:
-                # floor(h / d_i) on numerators and denominators; d_i > 0
-                bound = (h.numerator * di.denominator) // (h.denominator * di.numerator)
-                if his[i] is None or bound < his[i]:
-                    his[i] = bound
-    if any(hi is not None and hi < 0 for hi in his):
-        raise UnboundedError("the direction system cuts out no point with x >= 0")
-    a_ub = [[float(v) for v in row] for row in directions]
-    b_ub = [float(v) for v in values]
-    for i in range(n):
-        if his[i] is not None:
-            continue
-        cost = [0.0] * n
-        cost[i] = -1.0
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n, method="highs")
-        if res.status == 3:
-            raise UnboundedError(f"coordinate {i + 1} is unbounded under the given directions")
-        if res.status != 0:
-            raise UnboundedError(f"direction system is infeasible or ill-posed (status {res.status})")
-        his[i] = int(math.floor(-res.fun + 1e-6)) + 1
-    return his
-
-
 def adaptive_superset(
-    f: Slp,
-    n: int,
-    directions: Sequence[Sequence],
-    rng: random.Random,
+    f: Slp, n: int, rng: random.Random
 ) -> Tuple[List[Exponent], List[Tuple[Tuple[Fraction, ...], Fraction]]]:
     """Lattice points of the region cut out by estimated support values.
 
+    The cuts are the coordinate axes e_i, then (1, ..., 1) and (-1, ..., -1),
+    the total-degree cuts; a row that repeats an axis (n = 1) is left out.
+    Exponents are nonnegative, so the axis values give the box
+    0 <= x_i <= floor(h(e_i)) exactly, and every cut then filters its points.
     Returns the candidate exponents and the (direction, value) pairs that
     produced them; the true support is always contained in the candidates.
     """
-    dir_vecs = [tuple(Fraction(v) for v in d) for d in directions]
-    if any(len(d) != n for d in dir_vecs):
-        raise ValueError(f"directions must have {n} entries")
-    cuts = []
-    for d in dir_vecs:
-        est = support_estimate(f, d, rng=rng)
-        cuts.append((d, est.h_value))
-    his = _box_bounds([c[0] for c in cuts], [c[1] for c in cuts], n)
+    axes = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]
+    totals = [d for d in ((Fraction(1),) * n, (Fraction(-1),) * n) if d not in axes]
+    cuts = [(d, support_estimate(f, d, rng=rng).h_value) for d in axes + totals]
+    his = [math.floor(h) for _, h in cuts[:n]]
     points: List[Exponent] = box_points([0] * n, his, [(d, h, False) for d, h in cuts])
-    if not points:
+    if not points:  # a negative axis value leaves an empty box
         raise UnboundedError("no lattice points satisfy the estimated cuts")
     return points, cuts

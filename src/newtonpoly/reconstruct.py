@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eval_oracle as ev
 from . import witness_oracle as wo
-from .polytope import CutFilter, LatticePolytope, Point, _rank, _sub, convex_hull
+from .polytope import CutFilter, LatticePolytope, Point, _RowBasis, _sub, convex_hull
 from .slp import Exponent, OracleIndeterminate, Slp
 
 
@@ -69,17 +69,9 @@ class EvalVertexOracle:
 
     @classmethod
     def adaptive(cls, slp: Slp, n: int, rng: random.Random) -> "EvalVertexOracle":
-        """Candidates cut out by support estimates along the coordinate axes
-        and along (1, ..., 1) and (-1, ..., -1), the total-degree cuts.
-
-        The axis rows and (1, ..., 1) are nonnegative, so they bound the box
-        exactly without an LP; (-1, ..., -1) removes the box points below the
-        lowest total degree.  A row that repeats an axis (n = 1) is left out.
-        The cut values also answer later support queries in those directions.
-        """
-        axes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        totals = [d for d in ((1,) * n, (-1,) * n) if d not in axes]
-        superset, cuts = ev.adaptive_superset(slp, n, axes + totals, rng)
+        """Candidates from ``ev.adaptive_superset``; its cut values also
+        answer later support queries in those directions."""
+        superset, cuts = ev.adaptive_superset(slp, n, rng)
         oracle = cls(slp, n, superset, rng)
         oracle._support_cache.update(cuts)
         return oracle
@@ -264,10 +256,6 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         log.append((tuple(float(x) for x in w), f"{'support' if support else 'vertex'} {answer}"))
         return answer
 
-    def affine_rank(points) -> int:
-        base, *rest = points
-        return _rank([_sub(p, base) for p in rest])
-
     # ---- seed phase
     seed_dirs: List[Tuple] = []
     for i in range(n):
@@ -275,8 +263,10 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         neg = tuple(-1 if j == i else 0 for j in range(n))
         seed_dirs.append(facet_query_direction(unit, oracle.coord_bound, DIRECTION_BOUND, rng))
         seed_dirs.append(facet_query_direction(neg, oracle.coord_bound, DIRECTION_BOUND, rng))
+    # differences from the first certified vertex span the affine hull
+    basis = _RowBasis(n)
+    base: Optional[Point] = None
     stable = 0
-    rank = 0
     attempts = 0
     attempt_cap = 16 * n + 4 * budget
     while attempts < attempt_cap:
@@ -288,17 +278,16 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
                 w = random_direction(n, DIRECTION_BOUND, rng, candidates=list(confirmed) or None)
             except OracleIndeterminate:
                 break
-        before = len(confirmed)
         beta = ask(w)
         if beta is not None:
-            confirmed.add(beta)
-            new_rank = affine_rank(confirmed)
-            if len(confirmed) > before and new_rank > rank:
-                rank = new_rank
+            if base is None:
+                base = beta
+            if beta not in confirmed and basis.add(_sub(beta, base)):
                 stable = 0
             else:
                 stable += 1
-        if confirmed and rank == n:
+            confirmed.add(beta)
+        if confirmed and basis.rank == n:
             break
         if not seed_dirs and stable >= budget:
             break

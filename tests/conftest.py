@@ -90,13 +90,14 @@ def random_sparse(
             return poly
 
 
-def bounding_polytope(f, n: int, directions, rng: random.Random) -> LatticePolytope:
-    """Hull of the integer points allowed by the estimated support cuts.
+def bounding_polytope(f, n: int, rng: random.Random) -> LatticePolytope:
+    """Hull of the integer points allowed by the estimated axis and
+    total-degree support cuts.
 
     The result contains the Newton polytope of f, and its lattice points form
     a valid candidate superset for deterministic vertex queries.
     """
-    points, _ = adaptive_superset(f, n, directions, rng)
+    points, _ = adaptive_superset(f, n, rng)
     return convex_hull(points)
 
 

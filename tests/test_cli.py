@@ -50,6 +50,18 @@ class TestSupport:
         assert code == 0
         assert json.loads(out)[0]["h"] == "0"
 
+    @pytest.mark.parametrize("order", [("1,0", "0,1,0"), ("0,1,0", "1,0")])
+    def test_slp_fits_each_direction_alone(self, capsys, tmp_path, order):
+        # x1 * x2 read in 2 and in 3 variables, in either order
+        slp = tmp_path / "xy.slp"
+        slp.write_text("in 1\nin 2\nmul r1 r2\n")
+        args = ["support", "--slp", str(slp)]
+        for w in order:
+            args += ["--w", w]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert [record["h"] for record in json.loads(out)] == ["1", "1"]
+
     def test_stretch_beyond_a_double_is_reported_as_its_log(self, capsys):
         # the schedule for this direction passes tau = 709.8, where exp(tau)
         # overflows a double
@@ -347,6 +359,17 @@ BAD_INPUTS = {
     "vertex-bounds-direction-ties-candidates": ({}, DISC_VERTEX[:-1] + ["1,1,1"]),
     "witness-vertex-zero-direction": (_quad_config(), WITNESS_VERTEX[:-1] + ["0,0"]),
     "vertex-t-below-1": ({}, DISC_VERTEX + ["--t", "0.5"]),
+    # only the --superset query reads --t, and a vertex query has one direction
+    "vertex-adaptive-t": (
+        {},
+        ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "disc.poly"), "--w", "7,3,2", "--t", "2"],
+    ),
+    "vertex-witness-t": (_quad_config(), WITNESS_VERTEX + ["--t", "2"]),
+    "vertex-repeated-w": ({}, DISC_VERTEX + ["--w", "0,0,1"]),
+    "vertex-adaptive-repeated-w": (
+        {},
+        ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "disc.poly"), "--w", "1,0,0", "--w", "0,0,1"],
+    ),
     "vertex-t-zero": ({}, DISC_VERTEX + ["--t", "0"]),
     "vertex-t-negative": ({}, DISC_VERTEX + ["--t", "-1"]),
     "vertex-t-nan": ({}, DISC_VERTEX + ["--t", "nan"]),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ from newtonpoly.eval_oracle import (
     EvalBounds,
     NoConvergenceError,
     NotGenericError,
-    UnboundedError,
     adaptive_superset,
     group_generator,
     min_gap,
@@ -34,8 +34,9 @@ class TestMinGap:
         assert gap.d_w == 1
 
     def test_tie_is_rejected(self):
-        with pytest.raises(NotGenericError):
-            min_gap([(1, 0), (0, 1)], (1, 1))
+        # the message prints exact entries as the command line reads them
+        with pytest.raises(NotGenericError, match=r"^direction 1, 1/2 does not separate"):
+            min_gap([(1, 0), (0, 2)], (Fraction(1), Fraction(1, 2)))
 
     def test_float_direction_guard(self):
         with pytest.raises(TypeError):
@@ -160,32 +161,32 @@ class TestGroupGenerator:
 
 
 class TestBoundingPolytope:
+    # the expected values are the exact scan of the axis box for the points
+    # whose total degree lies between the support's lowest and highest
+
     def test_discriminant_box(self, disc_poly):
-        P = bounding_polytope(sparse_to_slp(disc_poly), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], random.Random(0))
-        assert len(lattice_points(P)) == 12
-        assert set(P.vertices) == {
-            (a, b, c) for a in (0, 1) for b in (0, 2) for c in (0, 1)
-        }
+        # the box [0, 1] x [0, 2] x [0, 1] keeps its 4 points of total degree 2
+        P = bounding_polytope(sparse_to_slp(disc_poly), 3, random.Random(0))
+        assert len(lattice_points(P)) == 4
+        assert set(P.vertices) == {(0, 2, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1)}
 
     def test_constant_polynomial(self):
         poly = SparsePolynomial.from_terms(2, [(5, (0, 0))])
-        P = bounding_polytope(sparse_to_slp(poly), 2, [(1, 0), (0, 1)], random.Random(0))
+        P = bounding_polytope(sparse_to_slp(poly), 2, random.Random(0))
         assert P.vertices == ((0, 0),)
 
     def test_quadratic_box(self, quad_poly):
-        P = bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0), (0, 1)], random.Random(0))
-        assert len(lattice_points(P)) == 6
-
-    def test_unbounded_reported(self, quad_poly):
-        with pytest.raises(UnboundedError):
-            bounding_polytope(sparse_to_slp(quad_poly), 2, [(1, 0)], random.Random(0))
+        # the box [0, 2] x [0, 1] loses (2, 1), of total degree 3
+        P = bounding_polytope(sparse_to_slp(quad_poly), 2, random.Random(0))
+        assert len(lattice_points(P)) == 5
+        assert set(P.vertices) == {(0, 0), (2, 0), (1, 1), (0, 1)}
 
     def test_more_directions_shrink(self, disc_poly):
-        program = sparse_to_slp(disc_poly)
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        loose, _ = adaptive_superset(program, 3, axes, random.Random(0))
-        tight, _ = adaptive_superset(program, 3, axes + [(1, 1, 1)], random.Random(0))
-        assert set(tight) <= set(loose)
+        # the total-degree rows cut the box the axis rows give
+        points, cuts = adaptive_superset(sparse_to_slp(disc_poly), 3, random.Random(0))
+        assert [d for d, _ in cuts] == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -1)]
+        box = set(itertools.product(*(range(int(h) + 1) for _, h in cuts[:3])))
+        assert set(points) < box and len(box) == 12
 
 
 class TestSoundness:
