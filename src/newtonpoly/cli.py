@@ -182,8 +182,9 @@ def _load_bounds(args, n: int) -> ev.EvalBounds:
     if args.superset is None:
         raise InputError("eval backend needs --superset PATH or --adaptive")
     superset = _read_rows(args.superset, _integral_row, "superset row")
+    delta, lam = (1.0 if x is None else x for x in (args.delta, getattr(args, "lambda")))
     try:
-        bounds = ev.EvalBounds(args.delta, getattr(args, "lambda"), tuple(superset))
+        bounds = ev.EvalBounds(delta, lam, tuple(superset))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if len(superset[0]) != n:
@@ -277,9 +278,25 @@ def _load_witness_setup(args) -> rc.WitnessVertexOracle:
     return rc.WitnessVertexOracle(backend, line, consts, wcfg)
 
 
+# the argparse dests of the oracle options; the flag of each is --dest, with
+# "-" for "_"
+ORACLE_OPTIONS = ("sparse", "slp", "superset", "delta", "lambda", "t", "adaptive", "witness_config", "t_max")
+
+
 def _load_oracle(args, rng: random.Random, w: Optional[Sequence[Fraction]] = None):
     """The vertex oracle the arguments select: witness, or eval (adaptive or
-    bounds) drawing from ``rng``.  A direction ``w`` fixes the dimension."""
+    bounds) drawing from ``rng``.  A direction ``w`` fixes the dimension.  An
+    oracle option that the selected backend does not read is refused."""
+    if args.backend == "witness":
+        backend, reads = "witness", {"witness_config", "t_max"}
+    elif args.adaptive:
+        backend, reads = "adaptive eval", {"sparse", "slp", "adaptive"}
+    else:
+        backend, reads = "--superset eval", {"sparse", "slp", "superset", "delta", "lambda", "t"}
+    for dest in ORACLE_OPTIONS:
+        value = getattr(args, dest, None)  # only vertex has --t
+        if dest not in reads and value is not None and value is not False:
+            raise InputError(f"the {backend} backend does not read --{dest.replace('_', '-')}")
     if args.backend == "witness":
         oracle = _load_witness_setup(args)
         if w is not None and len(w) != oracle.n:
@@ -320,8 +337,6 @@ def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Poin
 def cmd_vertex(args) -> int:
     if len(args.w) > 1:
         raise InputError(f"vertex takes one direction, got {len(args.w)} --w options")
-    if args.t is not None and (args.backend == "witness" or args.adaptive):
-        raise InputError("--t sets the stretch of a --superset query; this backend does not read it")
     w = _parse_fraction_vector(args.w[0])
     _check_direction(w)
     rng = random.Random(args.seed)
@@ -458,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     def oracle(p, **backend):  # the options _load_oracle reads
         common(p)
         p.add_argument("--backend", choices=["eval", "witness"], **backend)
-        p.add_argument("--delta", type=float, default=1.0, help="coefficient log-magnitude cap")
-        p.add_argument("--lambda", type=float, default=1.0, help="coefficient log-ratio cap")
+        p.add_argument("--delta", type=float, help="coefficient log-magnitude cap (default 1)")
+        p.add_argument("--lambda", type=float, help="coefficient log-ratio cap (default 1)")
         p.add_argument("--superset", help="file of candidate exponent vectors")
         p.add_argument("--adaptive", action="store_true")
         p.add_argument("--witness-config", dest="witness_config")

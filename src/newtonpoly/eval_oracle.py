@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 # linprog stays importable here, uncalled: perfbench/tracing.py wraps the name
 from scipy.optimize import linprog  # noqa: F401
 
@@ -228,21 +230,22 @@ def support_estimate(f: Slp, w: Sequence, rng: random.Random) -> SupportEstimate
 
 def adaptive_superset(
     f: Slp, n: int, rng: random.Random
-) -> Tuple[List[Exponent], List[Tuple[Tuple[Fraction, ...], Fraction]]]:
+) -> Tuple[np.ndarray, List[Tuple[Tuple[Fraction, ...], Fraction]]]:
     """Lattice points of the region cut out by estimated support values.
 
     The cuts are the coordinate axes e_i, then (1, ..., 1) and (-1, ..., -1),
     the total-degree cuts; a row that repeats an axis (n = 1) is left out.
     Exponents are nonnegative, so the axis values give the box
     0 <= x_i <= floor(h(e_i)) exactly, and every cut then filters its points.
-    Returns the candidate exponents and the (direction, value) pairs that
-    produced them; the true support is always contained in the candidates.
+    Returns the candidate exponents, the rows of a (k, n) int64 array in
+    lexicographic order, and the (direction, value) pairs that produced them;
+    the true support is always contained in the candidates.
     """
     axes = [tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n)]
     totals = [d for d in ((Fraction(1),) * n, (Fraction(-1),) * n) if d not in axes]
     cuts = [(d, support_estimate(f, d, rng=rng).h_value) for d in axes + totals]
     his = [math.floor(h) for _, h in cuts[:n]]
-    points: List[Exponent] = box_points([0] * n, his, [(d, h, False) for d, h in cuts])
-    if not points:  # a negative axis value leaves an empty box
+    points = box_points([0] * n, his, [(d, h, False) for d, h in cuts])
+    if not len(points):  # a negative axis value leaves an empty box
         raise UnboundedError("no lattice points satisfy the estimated cuts")
     return points, cuts

@@ -500,12 +500,14 @@ class CutFilter:
         return mask
 
 
-def box_points(lo: Sequence[int], hi: Sequence[int], cuts) -> List[Point]:
+def box_points(lo: Sequence[int], hi: Sequence[int], cuts) -> np.ndarray:
     """The integer points of the box lo <= x <= hi that satisfy every cut
-    (as in ``CutFilter.keep``), in lexicographic order."""
+    (as in ``CutFilter.keep``), as the rows of a (k, n) array in
+    lexicographic order: int64, or Python integers where ``CutFilter`` needs
+    them."""
     box = CutFilter(np.ix_(*(np.asarray(range(a, b + 1)) for a, b in zip(lo, hi))))
     keep = box.keep(cuts)
-    return list(zip(*(np.broadcast_to(a, box.shape)[keep].tolist() for a in box.axes)))
+    return np.stack([np.broadcast_to(a, box.shape)[keep] for a in box.axes], axis=1)
 
 
 def lattice_points(P: LatticePolytope) -> List[Point]:
@@ -516,7 +518,7 @@ def lattice_points(P: LatticePolytope) -> List[Point]:
     hi = [max(v[i] for v in P.vertices) for i in range(P.n)]
     cuts = [(f.normal, f.offset, False) for f in P.facets]
     cuts += [(normal, offset, True) for normal, offset in P.equalities]
-    return box_points(lo, hi, cuts)
+    return list(map(tuple, box_points(lo, hi, cuts).tolist()))
 
 
 def dilate(P: LatticePolytope, k: int) -> LatticePolytope:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eval_oracle as ev
 from . import witness_oracle as wo
-from .polytope import CutFilter, LatticePolytope, Point, _RowBasis, _sub, convex_hull
+from .polytope import CutFilter, LatticePolytope, Point, _dot, _hermite, _int_kernel, _RowBasis, _sub, convex_hull
 from .slp import Exponent, OracleIndeterminate, Slp
 
 
@@ -202,6 +202,12 @@ def facet_query_direction(
 # ---------------------------------------------------------------------------
 # reconstruction
 
+def _both_sides(normal: Point, offset: int) -> List[Tuple[Point, int]]:
+    """The equality normal . x = offset as two planes, normal . x <= offset
+    and -normal . x <= -offset."""
+    return [(normal, offset), (tuple(-x for x in normal), -offset)]
+
+
 @dataclass
 class ReconstructConfig:
     seed: int = 0
@@ -228,16 +234,25 @@ class ReconstructionReport:
 def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> ReconstructionReport:
     """Assemble the full polytope from certified vertex answers.
 
-    Seed phase: query perturbed coordinate directions and random directions
-    until the vertex set stops gaining affine dimension.  Loop phase: confirm
-    or refute each hull facet (and each affine-hull equality, from both
-    sides); a round that inserts new vertices re-hulls once, and the hull of
-    the last round is the result.
+    Seed phase: query perturbed coordinate directions, then random directions,
+    until the vertices span R^n or one of two stop rules holds.  With support
+    values (the eval oracle), the phase ends once n certified answers in a row
+    found no new vertex and every equality of the vertices' affine hull
+    holds, from both sides, at its support value; the first equality that
+    does not hold is looked past with a direction tilted from its normal,
+    whose answer raises the rank.  Without them (the witness oracle), it ends
+    after 8n certified answers without a rank gain, which also caps the first
+    rule.  Loop phase: confirm or refute each hull facet (and each affine-hull
+    equality, from both sides); a plane that a vertex inserted earlier in the
+    same round already cuts off is skipped, a round that inserts new vertices
+    re-hulls once, and the hull of the last round is the result.  Each support
+    value is asked once per reconstruction.
     """
     cfg = config or ReconstructConfig()
     rng = random.Random(cfg.seed)
     # the seed phase stops after this many certified answers without a rank gain
     budget = 8 * n
+    has_support = getattr(oracle, "support", None) is not None
 
     confirmed: set = set()
     log: List[Tuple[Tuple[float, ...], str]] = []
@@ -256,6 +271,22 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         log.append((tuple(float(x) for x in w), f"{'support' if support else 'vertex'} {answer}"))
         return answer
 
+    support_values: Dict[Point, Optional[Fraction]] = {}
+    confirmed_planes: set = set()
+
+    def holds(plane) -> bool:
+        """Whether the support value of the plane's normal equals its offset;
+        an indeterminate value reads as False and is not asked again."""
+        normal, offset = plane
+        if normal not in support_values:
+            support_values[normal] = ask(normal, support=True)
+        h = support_values[normal]
+        if h is not None and h < offset:
+            raise OracleInconsistent(f"support value below hull plane {normal} . x <= {offset}")
+        if h == offset:
+            confirmed_planes.add(plane)
+        return h == offset
+
     # ---- seed phase
     seed_dirs: List[Tuple] = []
     for i in range(n):
@@ -266,7 +297,8 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
     # differences from the first certified vertex span the affine hull
     basis = _RowBasis(n)
     base: Optional[Point] = None
-    stable = 0
+    stable = 0  # certified answers since the last rank gain
+    repeats = 0  # certified answers in a row that found no new vertex
     attempts = 0
     attempt_cap = 16 * n + 4 * budget
     while attempts < attempt_cap:
@@ -282,51 +314,57 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         if beta is not None:
             if base is None:
                 base = beta
-            if beta not in confirmed and basis.add(_sub(beta, base)):
-                stable = 0
-            else:
+            if beta in confirmed:
+                repeats += 1
                 stable += 1
+            else:
+                repeats = 0
+                stable = 0 if basis.add(_sub(beta, base)) else stable + 1
             confirmed.add(beta)
         if confirmed and basis.rank == n:
             break
-        if not seed_dirs and stable >= budget:
+        if seed_dirs:
+            continue
+        if stable >= budget:
             break
+        if has_support and repeats >= n:
+            # the equalities convex_hull reports for the confirmed points
+            normals = _hermite(_int_kernel(basis.rows, n), n)
+            planes = [plane for u in normals for plane in _both_sides(u, _dot(u, base))]
+            failing = next((plane for plane in planes if not holds(plane)), None)
+            if failing is None:
+                break  # the affine hull is certified: no answer can raise the rank
+            seed_dirs.append(facet_query_direction(failing[0], oracle.coord_bound, DIRECTION_BOUND, rng))
     if not confirmed:
         raise OracleExhausted("the oracle certified no direction at all")
 
     # ---- facet confirmation loop
-    has_support = getattr(oracle, "support", None) is not None
-    confirmed_planes: set = set()
     unconfirmed: List[Tuple[Point, int]] = []
     hull = convex_hull(confirmed)
     while True:
         planes = [(f.normal, f.offset) for f in hull.facets]
         for normal, offset in hull.equalities:
-            planes += [(normal, offset), (tuple(-x for x in normal), -offset)]
+            planes += _both_sides(normal, offset)
         planes = [plane for plane in planes if plane not in confirmed_planes]
         if not planes:
             unconfirmed = []
             break
 
-        inserted = False
+        inserted: List[Point] = []
         round_unconfirmed = []
         for plane in planes:
             normal, offset = plane
+            # a vertex inserted this round beyond the plane refutes it
+            if any(_dot(normal, v) > offset for v in inserted):
+                continue
             # all of a plane's perturbed directions are drawn before its first query
             dirs = [
                 facet_query_direction(normal, oracle.coord_bound, DIRECTION_BOUND, rng)
                 for _ in range(cfg.facet_retries)
             ]
-            if has_support:
-                # a support value settles the facet without a unique vertex
-                h = ask(normal, support=True)
-                if h == offset:
-                    confirmed_planes.add(plane)
-                    continue
-                if h is not None and h < offset:
-                    raise OracleInconsistent(
-                        f"support value below hull facet {normal} . x <= {offset}"
-                    )
+            # a support value settles the plane without a unique vertex
+            if has_support and holds(plane):
+                continue
             beta = None
             for w in dirs:
                 beta = ask(w)
@@ -335,11 +373,11 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
             if beta is None:
                 round_unconfirmed.append(plane)
                 continue
-            value = sum(u * b for u, b in zip(normal, beta))
+            value = _dot(normal, beta)
             if value > offset:
                 if beta not in confirmed:
                     confirmed.add(beta)
-                    inserted = True
+                    inserted.append(beta)
                 else:
                     round_unconfirmed.append(plane)
             elif value == offset:

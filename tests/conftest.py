@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -88,6 +89,24 @@ def random_sparse(
         )
         if len(poly.terms) >= 2:
             return poly
+
+
+def birkhoff_poly(k: int, rng: random.Random) -> SparsePolynomial:
+    """The permutation expansion of det(c_ij x_ij) for a k x k matrix of
+    distinct variables (x_ij is variable i*k + j) with random coefficients:
+    one term per permutation, so the Newton polytope is the Birkhoff
+    polytope B_k, of dimension (k-1)^2 in k^2 variables."""
+    coeffs = [[rational_coefficient(rng) for _ in range(k)] for _ in range(k)]
+    terms = []
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        coeff = GaussianRational(Fraction((-1) ** inversions))
+        exponent = [0] * (k * k)
+        for i, j in enumerate(perm):
+            coeff = coeff * coeffs[i][j]
+            exponent[i * k + j] = 1
+        terms.append((coeff, exponent))
+    return SparsePolynomial.from_terms(k * k, terms)
 
 
 def bounding_polytope(f, n: int, rng: random.Random) -> LatticePolytope:

@@ -365,6 +365,24 @@ BAD_INPUTS = {
         ["vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "disc.poly"), "--w", "7,3,2", "--t", "2"],
     ),
     "vertex-witness-t": (_quad_config(), WITNESS_VERTEX + ["--t", "2"]),
+    # every other oracle option that the chosen backend does not read
+    "vertex-adaptive-superset-delta": (
+        {},
+        [
+            "vertex", "--backend", "eval", "--adaptive", "--superset", "/nonexistent.pts", "--delta", "5",
+            "--sparse", str(FIXTURES / "disc.poly"), "--w", "7,3,2",
+        ],
+    ),
+    "reconstruct-witness-sparse": (
+        {},
+        [
+            "reconstruct", "--backend", "witness", "--witness-config", str(FIXTURES / "quad_witness.json"),
+            "--sparse", "/nonexistent.poly",
+        ],
+    ),
+    "reconstruct-adaptive-lambda": ({}, ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--lambda", "1"]),
+    "reconstruct-superset-t-max": ({}, DISC_RECONSTRUCT + ["--t-max", "100"]),
+    "vertex-witness-adaptive": (_quad_config(), WITNESS_VERTEX + ["--adaptive"]),
     "vertex-repeated-w": ({}, DISC_VERTEX + ["--w", "0,0,1"]),
     "vertex-adaptive-repeated-w": (
         {},
@@ -580,14 +598,15 @@ class TestReconstruct:
         assert code1 == code2 == 0 and out1 == out2
 
     # sha256 of the JSON this run prints: the five vertices of the bipyramid,
-    # its equalities in Hermite normal form, complete after 79 queries, 15 of
-    # them indeterminate
+    # its equalities in Hermite normal form, complete after 28 queries, 4 of
+    # them indeterminate (the seed phase ends once the support values certify
+    # the three equalities)
     def test_f1_adaptive_bytes_are_pinned(self, capsys):
         args = ["reconstruct", "--sparse", str(FIXTURES / "f1.poly"), "--adaptive", "--seed", "12"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9ed766cd78d390b609338340dec8c95dc733d8292767945f736210185f8219c7"
+            "3543f1f4dc944b781e5b7a0ddc9865ebbfae98fda61dec735540793bbb95a667"
         )
 
     def test_witness_bytes_are_pinned(self, capsys):

@@ -107,7 +107,10 @@ def test_adaptive_candidates_match_reference(system):
             with pytest.raises(ev.UnboundedError):
                 ev.adaptive_superset(None, n, random.Random(0))
             return
-        assert ev.adaptive_superset(None, n, random.Random(0)) == (expected, cuts)
+        points, returned = ev.adaptive_superset(None, n, random.Random(0))
+        # the candidates come back as the rows of an int64 matrix
+        assert points.dtype == np.int64 and points.shape == (len(expected), n)
+        assert list(map(tuple, points.tolist())) == expected and returned == cuts
 
 
 def test_negative_axis_bound_is_empty():

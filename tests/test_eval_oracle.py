@@ -186,7 +186,7 @@ class TestBoundingPolytope:
         points, cuts = adaptive_superset(sparse_to_slp(disc_poly), 3, random.Random(0))
         assert [d for d, _ in cuts] == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -1)]
         box = set(itertools.product(*(range(int(h) + 1) for _, h in cuts[:3])))
-        assert set(points) < box and len(box) == 12
+        assert set(map(tuple, points.tolist())) < box and len(box) == 12
 
 
 class TestSoundness:
