@@ -87,20 +87,28 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_program(path: str, kind: str) -> Tuple[sp.Slp, Optional[sp.SparsePolynomial]]:
+    """The compiled program in a ``kind`` ("sparse" or "slp") file and, for a
+    sparse file, its polynomial (None for an SLP file)."""
+    text = _read_text(path)
+    try:
+        if kind == "slp":
+            return sp.parse_slp(text), None
+        poly = sp.parse_sparse(text)
+    except (sp.SparseParseError, sp.SlpParseError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if poly.is_zero():
+        raise InputError(f"{path}: the zero polynomial has no Newton polytope")
+    return sp.sparse_to_slp(poly), poly
+
+
 def _load_polynomial(args) -> sp.Slp:
+    if args.sparse and args.slp:
+        raise InputError("--sparse and --slp exclude each other; give one")
     if args.sparse:
-        try:
-            poly = sp.parse_sparse(_read_text(args.sparse))
-        except sp.SparseParseError as exc:
-            raise InputError(f"{args.sparse}: {exc}") from exc
-        if poly.is_zero():
-            raise InputError(f"{args.sparse}: the zero polynomial has no Newton polytope")
-        return sp.sparse_to_slp(poly)
+        return _read_program(args.sparse, "sparse")[0]
     if args.slp:
-        try:
-            return sp.parse_slp(_read_text(args.slp))
-        except sp.SlpParseError as exc:
-            raise InputError(f"{args.slp}: {exc}") from exc
+        return _read_program(args.slp, "slp")[0]
     raise InputError("one of --sparse or --slp is required")
 
 
@@ -222,19 +230,10 @@ def _load_witness_setup(args) -> rc.WitnessVertexOracle:
         raise InputError("witness config is missing backend.path")
     full = path if os.path.isabs(path) else os.path.join(base, path)
     kind = backend_info.get("type", "sparse")
-    poly = None
-    try:
-        if kind == "sparse":
-            poly = sp.parse_sparse(_read_text(full))
-            if poly.is_zero():
-                raise InputError(f"{full}: the zero polynomial has no Newton polytope")
-            backend = wo.SparseLineBackend(poly)
-        elif kind == "slp":
-            backend = wo.SlpLineBackend(sp.parse_slp(_read_text(full)))
-        else:
-            raise InputError(f"unknown witness backend type {kind!r}")
-    except (sp.SparseParseError, sp.SlpParseError) as exc:
-        raise InputError(f"{full}: {exc}") from exc
+    if kind not in ("sparse", "slp"):
+        raise InputError(f"unknown witness backend type {kind!r}")
+    program, poly = _read_program(full, kind)
+    backend = wo.SlpLineBackend(program)
 
     def check(ok: bool, message: str) -> None:
         if not ok:
@@ -313,10 +312,6 @@ def _load_oracle(args, rng: random.Random, w: Optional[Sequence[Fraction]] = Non
 # ---------------------------------------------------------------------------
 # vertex
 
-def _dot(w: Sequence[Fraction], beta: pt.Point) -> Fraction:
-    return sum(wi * bi for wi, bi in zip(w, beta))
-
-
 def _query_in_cone(oracle, w: Sequence[Fraction], rng: random.Random) -> pt.Point:
     """The vertex for w or, while w is not general enough, for up to
     ``facet_retries`` directions tilted inside w's normal cone as the facet
@@ -360,7 +355,7 @@ def cmd_vertex(args) -> int:
     elif args.adaptive:
         beta = _query_in_cone(oracle, w, rng)
         record["t_used"] = None
-        lines = [f"vertex = {beta}  (support value {_dot(w, beta)})"]
+        lines = [f"vertex = {beta}  (support value {pt._dot(w, beta)})"]
     else:
         try:
             answer = ev.vertex_query(oracle.slp, oracle.bounds, w, rng, t=args.t)
@@ -372,7 +367,7 @@ def cmd_vertex(args) -> int:
             f"vertex = {beta}",
             f"measured log|f(t^w)| / log t = {answer.ratio:.4f} at t = {answer.t:g}",
         ]
-    record.update(h=str(_dot(w, beta)), vertex=list(beta))
+    record.update(h=str(pt._dot(w, beta)), vertex=list(beta))
     _emit(args, record, text_lines=lines, csv_rows=rows)
     return EXIT_OK
 

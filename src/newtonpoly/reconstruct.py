@@ -228,6 +228,7 @@ class ReconstructionReport:
     confirmed_facets: int
     unconfirmed: List[Tuple[Point, int]]
     complete: bool
+    # (direction, "vertex <beta>" | "support <h>" | "vertex indeterminate" | "support indeterminate")
     query_log: List[Tuple[Tuple[float, ...], str]] = field(repr=False, default_factory=list)
 
 
@@ -262,13 +263,14 @@ def reconstruct(oracle, n: int, config: Optional[ReconstructConfig] = None) -> R
         """One counted, logged oracle call: the vertex (or, with ``support``,
         the support value) for w, or None when the oracle is indeterminate."""
         counters["queries"] += 1
+        kind = "support" if support else "vertex"
         try:
             answer = oracle.support(tuple(w)) if support else oracle.query(tuple(w))
         except OracleIndeterminate:
             counters["indeterminate"] += 1
-            log.append((tuple(float(x) for x in w), "indeterminate"))
+            log.append((tuple(float(x) for x in w), f"{kind} indeterminate"))
             return None
-        log.append((tuple(float(x) for x in w), f"{'support' if support else 'vertex'} {answer}"))
+        log.append((tuple(float(x) for x in w), f"{kind} {answer}"))
         return answer
 
     support_values: Dict[Point, Optional[Fraction]] = {}

@@ -3,13 +3,15 @@
 A sparse polynomial is a list of (coefficient, exponent vector) terms; a
 straight-line program (SLP) is a sequence of input / constant / add / mul
 instructions that evaluates a polynomial without ever expanding it into
-monomials.  Every evaluation of f in the package runs one interpreter:
-each program is compiled once into a flat list of add/mul operations over a
-register file whose constants are already complex, computing only what the
-output reads and each repeated operation once, and :func:`evaluate` (value)
-or :func:`evaluate_dir` (value and directional derivative) runs it on
-(complex mantissa, int exponent) pairs, which is what makes the huge stretch
-factors used by the vertex oracles safe.
+monomials.  Coefficients and constants are exact: both representations hold
+only :class:`~newtonpoly.numbers.GaussianRational` values and refuse floats
+and complex numbers, so only the kernel rounds.  Every evaluation of f in the
+package runs one interpreter: each program is compiled once into a flat list
+of add/mul operations over a register file whose constants are already
+complex, computing only what the output reads and each repeated operation
+once, and :func:`evaluate` (value) or :func:`evaluate_dir` (value and
+directional derivative) runs it on (complex mantissa, int exponent) pairs,
+which is what makes the huge stretch factors used by the vertex oracles safe.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .numbers import GaussianRational, parse_coefficient
 
 Exponent = Tuple[int, ...]
-Coefficient = Union[GaussianRational, complex]
 
 
 class SparseParseError(ValueError):
@@ -43,24 +44,18 @@ class OracleIndeterminate(RuntimeError):
     either oracle that means "not certifiable" derives from this class."""
 
 
-def _coeff_to_complex(c: Coefficient) -> complex:
-    return c.to_complex() if isinstance(c, GaussianRational) else complex(c)
-
-
-def _coeff_is_zero(c: Coefficient) -> bool:
-    return c.is_zero() if isinstance(c, GaussianRational) else c == 0
-
-
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Polynomial as a sum of coefficient * monomial terms.
 
     Terms are stored deduplicated (exponents pairwise distinct), zero-free,
     and sorted by exponent, so equal polynomials compare equal.
+    ``from_terms`` takes int, Fraction or GaussianRational coefficients and
+    raises TypeError on a float or a complex.
     """
 
     n: int
-    terms: Tuple[Tuple[Coefficient, Exponent], ...]
+    terms: Tuple[Tuple[GaussianRational, Exponent], ...]
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "SparsePolynomial":
@@ -71,20 +66,9 @@ class SparsePolynomial:
                 raise ValueError(f"exponent {alpha} does not have {n} entries")
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
-            if isinstance(coeff, (int, Fraction)):
-                coeff = GaussianRational.from_value(coeff)
-            if alpha in merged:
-                old = merged[alpha]
-                if isinstance(old, GaussianRational) and isinstance(coeff, GaussianRational):
-                    merged[alpha] = old + coeff
-                else:
-                    merged[alpha] = _coeff_to_complex(old) + _coeff_to_complex(coeff)
-            else:
-                merged[alpha] = coeff
-        kept = tuple(
-            (c, a) for a, c in sorted(merged.items(), key=lambda kv: kv[0]) if not _coeff_is_zero(c)
-        )
-        return cls(n, kept)
+            coeff = GaussianRational.from_value(coeff)
+            merged[alpha] = merged[alpha] + coeff if alpha in merged else coeff
+        return cls(n, tuple((c, a) for a, c in sorted(merged.items()) if not c.is_zero()))
 
     def support(self) -> Tuple[Exponent, ...]:
         return tuple(alpha for _, alpha in self.terms)
@@ -133,7 +117,7 @@ def parse_sparse(text: str) -> SparsePolynomial:
 
 # SLP instructions are tagged tuples:
 #   ("in", i)      -- 0-based input slot
-#   ("const", c)   -- GaussianRational (or complex) constant
+#   ("const", c)   -- GaussianRational constant
 #   ("add", j, k)  -- registers j, k strictly earlier
 #   ("mul", j, k)
 Instruction = tuple
@@ -155,7 +139,10 @@ class Slp:
             elif ins[0] == "in":
                 if not 0 <= ins[1] < self.n:
                     raise ValueError(f"instruction {idx} reads input {ins[1]} of {self.n}")
-            elif ins[0] != "const":
+            elif ins[0] == "const":
+                if not isinstance(ins[1], GaussianRational):
+                    raise ValueError(f"constant {idx} is a {type(ins[1]).__name__}, not a GaussianRational")
+            else:
                 raise ValueError(f"unknown opcode {ins[0]!r}")
         if not 0 <= self.output < len(self.instructions):
             raise ValueError("output register out of range")
@@ -174,8 +161,6 @@ class Slp:
         computed once and rounded exactly as the program's own instruction
         would round it.  Operands are not reordered: with equal exponents
         ``_add`` can give ``a + b`` and ``b + a`` zero parts of opposite sign.
-        Nor are constants merged: ``1 - 0j == 1 + 0j``, yet the two round a
-        product differently.
         """
         instructions = self.instructions
         live = [False] * len(instructions)
@@ -195,7 +180,7 @@ class Slp:
                 slot[idx] = ins[1]
             elif ins[0] == "const":
                 slot[idx] = self.n + len(consts)
-                consts.append(_pair(_coeff_to_complex(ins[1])))
+                consts.append(_pair(ins[1].to_complex()))
             else:
                 op = (ins[0] == "mul", slot[ins[1]], slot[ins[2]])
                 slot[idx] = ops.setdefault(op, self.n + n_const + len(ops))
@@ -325,11 +310,7 @@ def sparse_to_slp(p: SparsePolynomial) -> Slp:
     total = None
     for coeff, alpha in p.terms:
         factors = [power(var_reg[i], a) for i, a in enumerate(alpha) if a]
-        if isinstance(coeff, GaussianRational):
-            is_one = coeff.re == 1 and coeff.im == 0
-        else:
-            is_one = coeff == 1
-        if not is_one or not factors:
+        if coeff.re != 1 or coeff.im or not factors:
             factors.append(emit(("const", coeff)))
         term = factors[0]
         for reg in factors[1:]:
@@ -504,26 +485,17 @@ def scaled(base: complex, log2_scale: float) -> Tuple[complex, int]:
     return base * 2.0 ** (log2_scale - whole), whole
 
 
-def restrict_to_face(p: SparsePolynomial, w: Sequence[float]):
+def restrict_to_face(p: SparsePolynomial, w: Sequence[Fraction]):
     """Terms of ``p`` whose exponents maximize ``w . alpha``; returns (poly, max).
 
-    With rational ``w`` the comparison is exact; float weights use a relative
-    tie tolerance of 1e-12.
+    The weights are exact (int or Fraction), so the comparison is exact.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     if len(w) != p.n:
         raise ValueError(f"expected a weight vector of length {p.n}")
-    exact = all(isinstance(wi, (int, Fraction)) for wi in w)
-    if exact:
-        w_vec = [Fraction(wi) for wi in w]
-        dots = [sum(wi * a for wi, a in zip(w_vec, alpha)) for _, alpha in p.terms]
-        h = max(dots)
-        kept = [term for term, d in zip(p.terms, dots) if d == h]
-    else:
-        w_vec = [float(wi) for wi in w]
-        dots = [sum(wi * a for wi, a in zip(w_vec, alpha)) for _, alpha in p.terms]
-        h = max(dots)
-        tol = 1e-12 * max(1.0, abs(h))
-        kept = [term for term, d in zip(p.terms, dots) if d >= h - tol]
-    return SparsePolynomial.from_terms(p.n, kept), h
+    if not all(isinstance(wi, (int, Fraction)) for wi in w):
+        raise TypeError("face restrictions need exact rational weight entries")
+    dots = [sum(Fraction(wi) * a for wi, a in zip(w, alpha)) for _, alpha in p.terms]
+    h = max(dots)
+    return SparsePolynomial.from_terms(p.n, [term for term, d in zip(p.terms, dots) if d == h]), h

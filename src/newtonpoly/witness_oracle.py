@@ -37,8 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .slp import (
-    Exponent, OracleIndeterminate, SparsePolynomial, Slp, _coeff_to_complex, evaluate_dir, scaled, sparse_to_slp,
-    to_complex,
+    Exponent, OracleIndeterminate, SparsePolynomial, Slp, evaluate_dir, scaled, sparse_to_slp, to_complex,
 )
 
 LN2 = math.log(2.0)
@@ -698,7 +697,7 @@ def rate_params_from_sparse(
     consts: LineConstants,
     C: Optional[float] = None,
 ) -> RateParams:
-    mags = [abs(_coeff_to_complex(coeff)) for coeff, _ in poly.terms]
+    mags = [abs(coeff.to_complex()) for coeff, _ in poly.terms]
     return rate_params_from_support(poly.support(), mags, w, consts, C=C)
 
 

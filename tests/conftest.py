@@ -139,7 +139,7 @@ def sparse_eval_complex(p: SparsePolynomial, xs: Sequence[complex]) -> complex:
         raise ValueError(f"expected {p.n} coordinates, got {len(xs)}")
     total = 0j
     for coeff, alpha in p.terms:
-        mono = coeff.to_complex() if isinstance(coeff, GaussianRational) else complex(coeff)
+        mono = coeff.to_complex()
         for x, a in zip(xs, alpha):
             if a:
                 mono *= x**a

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -344,10 +345,29 @@ BAD_INPUTS = {
         {"w.json": json.dumps({"backend": {"type": "sparse", "path": "zero.poly"}}), "zero.poly": "0 : 0 0\n"},
         ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
     ),
+    "witness-backend-type-unknown": (
+        {"w.json": json.dumps({"backend": {"type": "matrix", "path": "m.txt"}}), "m.txt": "1 0\n0 1\n"},
+        ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
+    ),
     "witness-slp-backend-does-not-parse": (
         {"w.json": json.dumps({"backend": {"type": "slp", "path": "bad.slp"}}), "bad.slp": "frobnicate r1\n"},
         ["vertex", "--backend", "witness", "--witness-config", "w.json", "--w", "1,1"],
     ),
+    "support-zero-polynomial": ({"zero.poly": "0 : 0 0\n"}, ["support", "--sparse", "zero.poly", "--w", "1,0"]),
+    "support-slp-does-not-parse": ({"bad.slp": "frob r1\n"}, ["support", "--slp", "bad.slp", "--w", "1"]),
+    # a polynomial is read from one file: --sparse and --slp together are refused
+    "support-sparse-and-slp": (
+        {},
+        ["support", "--sparse", str(FIXTURES / "disc.poly"), "--slp", "/nonexistent.slp", "--w", "1,0,0"],
+    ),
+    "vertex-sparse-and-slp": (
+        {},
+        [
+            "vertex", "--backend", "eval", "--adaptive", "--sparse", str(FIXTURES / "disc.poly"),
+            "--slp", "/nonexistent.slp", "--w", "7,3,2",
+        ],
+    ),
+    "reconstruct-sparse-and-slp": ({}, DISC_RECONSTRUCT + ["--slp", "/nonexistent.slp"]),
     "support-zero-direction": (
         {},
         ["support", "--sparse", str(FIXTURES / "f1.poly"), "--w", "0,0,0,0,0,0"],
@@ -504,6 +524,12 @@ def test_bad_input_exits_2(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(args, capsys)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in BAD_INPUTS if name.endswith("-sparse-and-slp")))
+def test_sparse_and_slp_together_name_both_flags(name, capsys):
+    code, _, err = run_cli(BAD_INPUTS[name][1], capsys)
+    assert code == 2 and "--sparse" in err and "--slp" in err
 
 
 @pytest.mark.parametrize("name", sorted(name for name in BAD_INPUTS if name.endswith("-csv")))
@@ -688,10 +714,15 @@ class TestPolytopeCommands:
 
 class TestEntryPoint:
     def test_installed_script(self):
+        # the subprocess finds the package in src/, as an installed copy would
+        src = str(FIXTURES.parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         result = subprocess.run(
             [sys.executable, "-m", "newtonpoly.cli", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "reconstruct" in result.stdout

@@ -226,15 +226,14 @@ class TestCompile:
         both = parse_slp("in 1\nin 2\nadd r1 r2\nadd r2 r1\nmul r3 r4")
         assert len(both.code[1]) == 3
 
-    def test_equal_constants_stay_apart(self):
-        # 1 - 0j == 1 + 0j, yet they round a product differently
-        c_neg, c_pos = complex(1.0, -0.0), complex(1.0, 0.0)
-        instructions = (("in", 0), ("const", c_neg), ("const", c_pos), ("mul", 0, 1), ("mul", 0, 2), ("add", 3, 4))
-        x = [(complex(-1.0, -0.0), 0)]
-        by_neg, by_pos = (evaluate(Slp(1, instructions, out), x) for out in (3, 4))
-        assert _bits(by_neg) != _bits(by_pos)
-        both = Slp(1, instructions, 5)
-        assert len(both.code[0]) == 2 and len(both.code[1]) == 3
+    @pytest.mark.parametrize("const", [complex(1.0, -0.0), 1.0, 1, Fraction(1)])
+    def test_constants_must_be_exact(self, const):
+        # only a GaussianRational constant is accepted, so no program carries a
+        # rounded constant or a signed zero into the kernel
+        with pytest.raises(ValueError, match="constant"):
+            Slp(1, (("in", 0), ("const", const), ("mul", 0, 1)), 2)
+        program = Slp(1, (("in", 0), ("const", GaussianRational(Fraction(1))), ("mul", 0, 1)), 2)
+        assert program.code[0] == (_pair(1.0),)
 
     def test_only_live_instructions_compile(self):
         program = parse_slp("in 1\nin 2\nconst 3\nmul r1 r3\nadd r1 r2\nmul r4 r4\nout r6")

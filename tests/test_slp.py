@@ -38,6 +38,11 @@ class TestParseSparse:
         coeff, alpha = p.terms[0]
         assert coeff.re == 7 and alpha == (1, 1)
 
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, 1 + 2j, complex(1.0, 0.0)])
+    def test_float_and_complex_coefficients_refused(self, coeff):
+        with pytest.raises(TypeError):
+            SparsePolynomial.from_terms(1, [(1, (0,)), (coeff, (1,))])
+
     def test_comments_and_blanks(self):
         p = parse_sparse("# leading comment\n\n1 : 1 0  # x\n2 : 0 1\n")
         assert len(p.terms) == 2
@@ -224,9 +229,13 @@ class TestScaledPoint:
 
 class TestRestrictToFace:
     def test_discriminant_vertex(self, disc_poly):
-        face, h = restrict_to_face(disc_poly, (-1.2, 0.4, 3.7))
+        face, h = restrict_to_face(disc_poly, (Fraction(-6, 5), Fraction(2, 5), Fraction(37, 10)))
         assert face.support() == ((1, 0, 1),)
-        assert h == pytest.approx(2.5)
+        assert h == Fraction(5, 2)
+
+    def test_float_weights_refused(self, disc_poly):
+        with pytest.raises(TypeError):
+            restrict_to_face(disc_poly, (-1.2, 0.4, 3.7))
 
     def test_zero_direction_returns_everything(self, disc_poly):
         face, h = restrict_to_face(disc_poly, (0, 0, 0))
